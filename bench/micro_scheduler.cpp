@@ -1,11 +1,14 @@
 // Scheduler memory-layout microbench (DESIGN.md §11): schedule/cancel/fire
-// churn at MAC-realistic cancel rates, plus packet-pool churn. Not a paper
-// figure — a regression guard for the engine's allocation behaviour.
+// churn at MAC-realistic cancel rates, packet-pool churn, and a broadcast
+// storm on a bare radio channel. Not a paper figure — a regression guard for
+// the engine's allocation behaviour.
 //
 // Every case reports `allocs_per_item`, measured by a global operator
 // new/delete override: the pooled scheduler and packet arena should hold it
 // near zero in steady state, so a capture outgrowing InlineFn's buffer or a
-// pool bypass shows up as a counter jump, not just a throughput dip.
+// pool bypass shows up as a counter jump, not just a throughput dip. The
+// channel storm asserts exactly zero per reception: it marks itself failed
+// and the process exits non-zero otherwise.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -14,14 +17,18 @@
 #include <new>
 #include <vector>
 
+#include "geom/vec2.hpp"
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
+#include "phy/channel.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> gHeapAllocs{0};
+/// Set by a case whose allocation assertion failed; main() exits non-zero.
+bool gAllocAssertFailed = false;
 
 }  // namespace
 
@@ -156,6 +163,68 @@ void BM_SchedulerCancelAll(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelAll)->Arg(4096);
 
+/// Broadcast storm on a bare phy::Channel: each iteration, kSenders hosts
+/// start a frame at the same instant and every other host receives all of
+/// them (overlapping, so they collide), then the frames drain. Reception
+/// cohorts (DESIGN.md §11.6) keep one pooled record per transmission and two
+/// events per frame, so after a warm-up storm the reception path must
+/// allocate nothing at all: the case fails on any allocation.
+void BM_ChannelStorm(benchmark::State& state) {
+  constexpr std::uint32_t kHosts = 64;
+  constexpr std::uint32_t kSenders = 4;
+  struct Sink : phy::Channel::Listener {
+    void onFrameReceived(const phy::Frame&, phy::DropReason) override {
+      ++receptions;
+    }
+    std::uint64_t receptions = 0;
+  };
+
+  sim::Scheduler s;
+  phy::Channel channel(s, phy::PhyParams{});
+  std::vector<Sink> sinks(kHosts);
+  for (std::uint32_t i = 0; i < kHosts; ++i) {
+    const geom::Vec2 pos{7.0 * i, 3.0 * (i % 5)};  // all within one radius
+    channel.attach(net::HostId{i}, &sinks[i], [pos] { return pos; });
+  }
+  const net::PacketPtr packet = net::makeDataPacket(
+      net::BroadcastId{net::HostId{0}, net::BroadcastSeq{0}}, net::HostId{0});
+  std::uint32_t round = 0;
+  auto storm = [&] {
+    for (std::uint32_t k = 0; k < kSenders; ++k) {
+      channel.transmit(net::HostId{(round * kSenders + k) % kHosts}, packet,
+                       280);
+    }
+    s.runAll();
+    ++round;
+  };
+  // One full rotation of senders warms every per-node reception list.
+  for (std::uint32_t i = 0; i < kHosts / kSenders; ++i) storm();
+
+  std::uint64_t totalBefore = 0;
+  for (const Sink& sink : sinks) totalBefore += sink.receptions;
+  const std::uint64_t allocsBefore = gHeapAllocs.load();
+  for (auto _ : state) storm();
+  const std::uint64_t allocs = gHeapAllocs.load() - allocsBefore;
+  std::uint64_t total = 0;
+  for (const Sink& sink : sinks) total += sink.receptions;
+
+  const auto receptions = static_cast<double>(total - totalBefore);
+  state.SetItemsProcessed(static_cast<std::int64_t>(total - totalBefore));
+  state.counters["allocs_per_item"] =
+      benchmark::Counter(static_cast<double>(allocs) / receptions);
+  if (allocs != 0) {
+    gAllocAssertFailed = true;
+    state.SkipWithError("reception path allocated after warm-up");
+  }
+}
+BENCHMARK(BM_ChannelStorm);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return gAllocAssertFailed ? 1 : 0;
+}

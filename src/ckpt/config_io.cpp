@@ -251,6 +251,23 @@ experiment::ScenarioConfig decodeConfig(const std::vector<std::uint8_t>& b) {
   if (!r.atEnd()) {
     throw Error("trailing bytes after config payload");
   }
+  // phy::Channel requires these; a blob that breaks them is rejected here,
+  // by field name, instead of aborting on the channel's precondition.
+  if (!(c.phy.radiusMeters > 0.0)) {
+    throw Error("config phy.radiusMeters " + std::to_string(c.phy.radiusMeters) +
+                " must be positive");
+  }
+  if (!(c.phy.bitRateBps > 0.0)) {
+    throw Error("config phy.bitRateBps " + std::to_string(c.phy.bitRateBps) +
+                " must be positive");
+  }
+  if (!c.phy.senseDelayValid()) {
+    throw Error("config phy.carrierSenseDelay " +
+                std::to_string(c.phy.carrierSenseDelay.ticks()) +
+                " us must lie in [0, " +
+                std::to_string(c.phy.frameAirtime(0).ticks()) +
+                ") us, below the shortest frame airtime");
+  }
   return c;
 }
 

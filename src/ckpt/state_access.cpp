@@ -234,15 +234,18 @@ ChannelImage StateAccess::channel(const phy::Channel& channel) {
     ni.epoch = n.epoch;
     ni.activeRxCount = static_cast<std::uint32_t>(n.activeRx.size());
     Digest d;
-    for (const auto& rec : n.activeRx) {
-      d.add(rec->frame.src.value());
-      addVec2(d, rec->frame.srcPos);
-      d.add(static_cast<std::uint64_t>(rec->frame.bytes));
-      d.add(rec->frame.packet ? packetDigest(*rec->frame.packet) : std::uint64_t{0});
-      d.add(rec->frame.txStart);
-      d.add(rec->frame.txEnd);
-      d.add(static_cast<std::uint32_t>(rec->reason));
-      d.add(rec->orphaned);
+    // Each reception is a slot of its transmission record, which holds the
+    // frame once for all receivers.
+    for (const auto* slot : n.activeRx) {
+      const phy::Frame& f = slot->tx->frame;
+      d.add(f.src.value());
+      addVec2(d, f.srcPos);
+      d.add(static_cast<std::uint64_t>(f.bytes));
+      d.add(f.packet ? packetDigest(*f.packet) : std::uint64_t{0});
+      d.add(f.txStart);
+      d.add(f.txEnd);
+      d.add(static_cast<std::uint32_t>(slot->reason));
+      d.add(slot->orphaned);
     }
     ni.activeRxDigest = d.value();
     image.nodes.push_back(ni);

@@ -29,6 +29,7 @@ constexpr std::size_t kParallelRebuildMinNodes = 256;
 Channel::Channel(sim::Scheduler& scheduler, PhyParams params)
     : scheduler_(scheduler), params_(params) {
   MANET_EXPECTS(params_.radiusMeters > 0.0);
+  MANET_EXPECTS(params_.senseDelayValid());
 }
 
 Channel::~Channel() {
@@ -221,7 +222,8 @@ void Channel::ensureGrid() const {
   grid_.cellMaxX.assign(cells, -inf);
   grid_.cellMinY.assign(cells, inf);
   grid_.cellMaxY.assign(cells, -inf);
-  std::vector<int> fill(grid_.cellStart.begin(), grid_.cellStart.end() - 1);
+  std::vector<int>& fill = grid_.cellFill;
+  fill.assign(grid_.cellStart.begin(), grid_.cellStart.end() - 1);
   for (std::size_t id = 0; id < n; ++id) {
     const int c = grid_.cellOf[id];
     if (c < 0) continue;
@@ -435,6 +437,16 @@ std::vector<geom::Vec2> Channel::snapshotPositions() const {
   return out;
 }
 
+Channel::Transmission& Channel::acquireTransmission() {
+  if (freeTransmissions_.empty()) {
+    transmissions_.push_back(std::make_unique<Transmission>());
+    return *transmissions_.back();
+  }
+  Transmission* t = freeTransmissions_.back();
+  freeTransmissions_.pop_back();
+  return *t;
+}
+
 sim::TimePoint Channel::transmit(net::HostId src, net::PacketPtr packet,
                             std::size_t bytes) {
   MANET_EXPECTS(packet != nullptr);
@@ -444,13 +456,15 @@ sim::TimePoint Channel::transmit(net::HostId src, net::PacketPtr packet,
 
   const sim::TimePoint start = scheduler_.now();
   const sim::TimePoint end = start + params_.frameAirtime(bytes);
-  Frame frame;
+  Transmission& t = acquireTransmission();
+  Frame& frame = t.frame;
   frame.src = src;
   frame.srcPos = tx.position();
   frame.bytes = bytes;
   frame.packet = std::move(packet);
   frame.txStart = start;
   frame.txEnd = end;
+  t.txEpoch = tx.epoch;
   ++framesTransmitted_;
   obs::add(obs::Counter::kChannelTx);
   if (obs::current() != nullptr) {
@@ -481,68 +495,87 @@ sim::TimePoint Channel::transmit(net::HostId src, net::PacketPtr packet,
   tx.transmitting = true;
   raiseBusy(tx);
   if (collisionsEnabled_) {
-    for (const auto& rec : tx.activeRx) corrupt(*rec, DropReason::kHalfDuplex);
+    for (RxSlot* slot : tx.activeRx) corrupt(*slot, DropReason::kHalfDuplex);
   }
 
-  // Take the scratch buffer by move so a listener callback that reenters
-  // transmit() synchronously cannot clobber the receiver list mid-loop.
-  std::vector<net::HostId> receivers = std::move(scratch_);
-  receivers.clear();
-  collectInRange(frame.srcPos, src, receivers);
-  if (shardObserver_ != nullptr && !receivers.empty()) {
-    classifyCrossShard(frame.srcPos, end, receivers);
+  t.receivers.clear();
+  collectInRange(frame.srcPos, src, t.receivers);
+  if (shardObserver_ != nullptr && !t.receivers.empty()) {
+    classifyCrossShard(frame.srcPos, end, t.receivers);
   }
-  for (const net::HostId id : receivers) {
+  // The energy becomes detectable at a receiver only after the carrier-
+  // sense delay; a station that starts its own transmission inside that
+  // window never saw the medium busy (and collides, per §2.2.3).
+  const bool senseNow = params_.carrierSenseDelay == sim::Duration{};
+  t.slots.assign(t.receivers.size(), RxSlot{&t});
+  for (std::size_t i = 0; i < t.receivers.size(); ++i) {
+    const net::HostId id = t.receivers[i];
     Node& rx = nodes_[id.value()];
-    auto rec = std::make_shared<ActiveRx>();
-    rec->frame = frame;
+    RxSlot& slot = t.slots[i];
     // Injected link loss is resolved first (the radio impairment exists
     // regardless of contention) but the frame's energy still collides with
     // everything else arriving at this receiver.
     if (lossFn_ && lossFn_(src, id)) {
-      rec->reason = DropReason::kFaultLoss;
+      slot.reason = DropReason::kFaultLoss;
     }
     if (collisionsEnabled_) {
       // Overlap with anything already arriving, or with the receiver's own
       // ongoing transmission, corrupts everything involved.
       if (!rx.activeRx.empty() || rx.transmitting) {
-        corrupt(*rec, rx.transmitting ? DropReason::kHalfDuplex
+        corrupt(slot, rx.transmitting ? DropReason::kHalfDuplex
                                       : DropReason::kCollision);
-        for (const auto& other : rx.activeRx) {
+        for (RxSlot* other : rx.activeRx) {
           corrupt(*other, DropReason::kCollision);
         }
       }
     }
-    rx.activeRx.push_back(rec);
+    rx.activeRx.push_back(&slot);
     MANET_AUDIT_HOOK(audit_.onBeginReception(id, scheduler_.now()));
-    // The energy becomes detectable at the receiver only after the carrier-
-    // sense delay; a station that starts its own transmission inside that
-    // window never saw the medium busy (and collides, per §2.2.3).
-    if (params_.carrierSenseDelay <= sim::Duration{}) {
-      raiseBusy(rx);
-    } else {
-      auto senseCb = [this, id, epoch = rx.epoch] {
-        Node& n = node(id);
-        if (n.epoch == epoch) raiseBusy(n);
-      };
-      static_assert(sim::InlineFn::storesInline<decltype(senseCb)>(),
-                    "carrier-sense capture must fit the event node");
-      scheduler_.scheduleAfter(params_.carrierSenseDelay, std::move(senseCb));
-    }
-    auto rxDoneCb = [this, id, rec] { finishReception(id, rec); };
-    static_assert(sim::InlineFn::storesInline<decltype(rxDoneCb)>(),
-                  "reception-completion capture must fit the event node");
-    scheduler_.schedule(end, std::move(rxDoneCb));
+    if (senseNow) raiseBusy(rx);
   }
+  // With no receiver the channel keeps no reference to the packet while the
+  // frame is on the air.
+  if (t.receivers.empty()) frame.packet.reset();
 
-  auto txDoneCb = [this, src, epoch = tx.epoch] {
-    finishTransmission(src, epoch);
-  };
-  static_assert(sim::InlineFn::storesInline<decltype(txDoneCb)>(),
-                "transmission-completion capture must fit the event node");
-  scheduler_.schedule(end, std::move(txDoneCb));
-  scratch_ = std::move(receivers);
+  // One event per phase for all receivers (DESIGN.md §11.6). The loop
+  // above schedules nothing (its callbacks are loss draws and, with a zero
+  // delay, onMediumBusy, which only freezes the MAC's backoff), so each
+  // cohort runs its receivers exactly where one event per receiver would
+  // have run them.
+  if (!senseNow && !t.receivers.empty()) {
+    auto senseCb = [this, &t] { senseCohort(t); };
+    static_assert(sim::InlineFn::storesInline<decltype(senseCb)>(),
+                  "carrier-sense capture must fit the event node");
+    scheduler_.scheduleAfter(params_.carrierSenseDelay, std::move(senseCb));
+  }
+  auto doneCb = [this, &t] { completeCohort(t); };
+  static_assert(sim::InlineFn::storesInline<decltype(doneCb)>(),
+                "completion capture must fit the event node");
+  scheduler_.schedule(end, std::move(doneCb));
   return end;
+}
+
+void Channel::senseCohort(Transmission& t) {
+  // senseDelayValid() puts this before the frame's end, so a slot is still
+  // listed at its receiver unless the receiver churned down meanwhile —
+  // which orphans the slot.
+  for (std::size_t i = 0; i < t.receivers.size(); ++i) {
+    if (!t.slots[i].orphaned) raiseBusy(nodes_[t.receivers[i].value()]);
+  }
+}
+
+void Channel::completeCohort(Transmission& t) {
+  for (std::size_t i = 0; i < t.receivers.size(); ++i) {
+    RxSlot& slot = t.slots[i];
+    if (!slot.orphaned) finishReception(t.receivers[i], slot);
+  }
+  const net::HostId src = t.frame.src;
+  const std::uint64_t txEpoch = t.txEpoch;
+  // Release the packet before the transmitter hears of the frame's end, so
+  // the packet arena can recycle it for whatever the transmitter sends next.
+  t.frame.packet.reset();
+  freeTransmissions_.push_back(&t);
+  finishTransmission(src, txEpoch);
 }
 
 void Channel::classifyCrossShard(
@@ -584,20 +617,18 @@ void Channel::classifyCrossShard(
   }
 }
 
-void Channel::finishReception(net::HostId rxId,
-                              const std::shared_ptr<ActiveRx>& rec) {
-  if (rec->orphaned) return;  // receiver churned down mid-frame
+void Channel::finishReception(net::HostId rxId, RxSlot& slot) {
   Node& rx = node(rxId);
   // A down node's receptions must all have been orphaned by the flush; a
   // completion that still reaches one is a churn consistency bug.
   MANET_AUDIT_HOOK(if (!rx.up)
                        audit_.onDeliveryWhileDown(rxId, scheduler_.now()));
-  auto it = std::find(rx.activeRx.begin(), rx.activeRx.end(), rec);
+  auto it = std::find(rx.activeRx.begin(), rx.activeRx.end(), &slot);
   MANET_ASSERT(it != rx.activeRx.end());
   rx.activeRx.erase(it);
   MANET_AUDIT_HOOK(audit_.onEndReception(rxId, scheduler_.now()));
   lowerBusy(rx);
-  switch (rec->reason) {
+  switch (slot.reason) {
     case DropReason::kNone:
       ++framesDelivered_;
       obs::add(obs::Counter::kChannelDelivered);
@@ -619,7 +650,7 @@ void Channel::finishReception(net::HostId rxId,
       obs::add(obs::Counter::kChannelDropCollision);
       break;
   }
-  rx.listener->onFrameReceived(rec->frame, rec->reason);
+  rx.listener->onFrameReceived(slot.tx->frame, slot.reason);
 }
 
 void Channel::finishTransmission(net::HostId src, std::uint64_t epoch) {
@@ -636,14 +667,14 @@ std::vector<Frame> Channel::setNodeUp(net::HostId id, bool up) {
   if (n.up == up) return {};
   std::vector<Frame> flushed;
   if (!up) {
-    // Off the air: flush in-flight receptions (their completion events are
-    // orphaned) and silently reset medium/transmit state. The node's own
-    // in-flight frame, if any, keeps going at its receivers; the epoch bump
-    // cancels the pending finishTransmission callback.
+    // Off the air: flush in-flight receptions (their cohorts skip the
+    // orphaned slots) and silently reset medium/transmit state. The node's
+    // own in-flight frame, if any, keeps going at its receivers; the epoch
+    // bump makes its completion cohort skip finishTransmission.
     flushed.reserve(n.activeRx.size());
-    for (const auto& rec : n.activeRx) {
-      rec->orphaned = true;
-      flushed.push_back(rec->frame);
+    for (RxSlot* slot : n.activeRx) {
+      slot->orphaned = true;
+      flushed.push_back(slot->tx->frame);
       ++framesDroppedHostDown_;
     }
     n.activeRx.clear();

@@ -92,6 +92,7 @@ class Channel {
   /// arrives with a failed FCS, reason kFaultLoss. Unset = lossless.
   using LossFn = std::function<bool(net::HostId src, net::HostId dst)>;
 
+  /// Requires radiusMeters > 0 and params.senseDelayValid().
   Channel(sim::Scheduler& scheduler, PhyParams params);
   /// Audited builds verify the begin/end/flush reception ledger here.
   ~Channel();
@@ -192,13 +193,25 @@ class Channel {
 
  private:
   friend struct manet::ckpt::StateAccess;
-  struct ActiveRx {
-    Frame frame;
+  struct Transmission;
+  /// One receiver's share of a transmission: its drop verdict so far.
+  struct RxSlot {
+    Transmission* tx = nullptr;             // owning record; holds the frame
     DropReason reason = DropReason::kNone;  // first corruption cause wins
-    /// Receiver churned off the air mid-frame: the scheduled completion
-    /// event must not touch the (already flushed) node state.
+    /// Receiver churned off the air mid-frame: the completion cohort must
+    /// not touch the (already flushed) node state.
     bool orphaned = false;
-    bool corrupted() const { return reason != DropReason::kNone; }
+  };
+  /// One frame on the air and its reception cohort (DESIGN.md §11.6): the
+  /// frame, stored once, and one slot per receiver, parallel to the
+  /// ascending receiver list. Pooled: records live at stable addresses
+  /// (Node::activeRx points into `slots`) and recycle through a free list,
+  /// so a steady-state transmit allocates nothing.
+  struct Transmission {
+    Frame frame;
+    std::uint64_t txEpoch = 0;  // transmitter's epoch at tx start
+    std::vector<net::HostId> receivers;
+    std::vector<RxSlot> slots;
   };
   struct Node {
     Listener* listener = nullptr;
@@ -207,10 +220,10 @@ class Channel {
     bool up = true;     // false while churned down (attached but off-air)
     bool transmitting = false;
     int busyCount = 0;  // overlapping in-range transmissions incl. own
-    /// Bumped on every up/down transition; deferred channel events carry
-    /// the epoch they were scheduled under and skip if the node churned.
+    /// Bumped on every up/down transition; the completion cohort skips
+    /// finishTransmission when the transmitter churned mid-frame.
     std::uint64_t epoch = 0;
-    std::vector<std::shared_ptr<ActiveRx>> activeRx;
+    std::vector<RxSlot*> activeRx;  // in arrival order
   };
 
   /// Uniform-cell spatial index over the attached nodes' positions, cached
@@ -236,6 +249,7 @@ class Channel {
     std::vector<net::HostId> cellNodes;
     std::vector<double> cellX;          // parallel to cellNodes
     std::vector<double> cellY;
+    std::vector<int> cellFill;          // rebuild scratch: next CSR slot
     // Tight bounding box of each cell's occupants (+inf/-inf when empty).
     // When the whole box lies inside a query disk every occupant is in
     // range and the per-node distance scan can be skipped.
@@ -249,11 +263,18 @@ class Channel {
   const Node& node(net::HostId id) const;
   void raiseBusy(Node& n);
   void lowerBusy(Node& n);
-  void finishReception(net::HostId rx, const std::shared_ptr<ActiveRx>& rec);
+  Transmission& acquireTransmission();
+  /// Carrier-sense cohort: the frame's energy becomes detectable at every
+  /// receiver still on the air, in ascending id order.
+  void senseCohort(Transmission& t);
+  /// Completion cohort: finishes every reception of `t` in ascending id
+  /// order, then the transmission itself, and recycles the record.
+  void completeCohort(Transmission& t);
+  void finishReception(net::HostId rx, RxSlot& slot);
   void finishTransmission(net::HostId src, std::uint64_t epoch);
-  /// Marks `rec` corrupted with `reason` unless an earlier cause already did.
-  static void corrupt(ActiveRx& rec, DropReason reason) {
-    if (rec.reason == DropReason::kNone) rec.reason = reason;
+  /// Marks `slot` corrupted with `reason` unless an earlier cause already did.
+  static void corrupt(RxSlot& slot, DropReason reason) {
+    if (slot.reason == DropReason::kNone) slot.reason = reason;
   }
 
   /// Rebuilds the grid if it is stale for the current epoch (time advanced
@@ -310,7 +331,8 @@ class Channel {
   LossFn lossFn_;
   std::uint64_t attachVersion_ = 0;
   mutable Grid grid_;
-  mutable std::vector<net::HostId> scratch_;  // transmit() receiver list
+  std::vector<std::unique_ptr<Transmission>> transmissions_;  // every record
+  std::vector<Transmission*> freeTransmissions_;
   std::uint64_t framesTransmitted_ = 0;
   std::uint64_t framesDelivered_ = 0;
   std::uint64_t framesCorrupted_ = 0;

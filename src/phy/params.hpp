@@ -19,7 +19,8 @@ struct PhyParams {
   /// sense it (propagation + RF detection latency). Stations that decide to
   /// transmit within this window of each other collide — the §2.2.3
   /// mechanism ("carriers cannot be sensed immediately due to things such
-  /// as RF delays"). Must be far below the shortest frame airtime.
+  /// as RF delays"). Must lie in [0, frameAirtime(0)) — see
+  /// senseDelayValid(); in practice it is far below that bound.
   sim::Duration carrierSenseDelay{5};  // us (within one 20 us slot)
 
   /// Conservative cross-region lookahead (DESIGN.md §15): minimum
@@ -30,6 +31,15 @@ struct PhyParams {
   /// t + minInteractionDelay(), so region clocks may advance this far
   /// apart before exchanging deliveries at a window barrier.
   sim::Duration minInteractionDelay() const { return frameAirtime(0); }
+
+  /// True when 0 <= carrierSenseDelay < frameAirtime(0): every receiver
+  /// senses a frame before the shortest possible frame ends, which the
+  /// channel's reception cohorts rely on (DESIGN.md §11.6). phy::Channel
+  /// requires it.
+  bool senseDelayValid() const {
+    return carrierSenseDelay >= sim::Duration{} &&
+           carrierSenseDelay < frameAirtime(0);
+  }
 
   /// On-air duration of a frame with `payloadBytes` of MAC payload.
   sim::Duration frameAirtime(std::size_t payloadBytes) const {

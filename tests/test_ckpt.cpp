@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,10 @@ ScenarioConfig smallConfig() {
   c.seed = 42;
   return c;
 }
+
+/// The shortest frame airtime, the exclusive upper bound on
+/// phy.carrierSenseDelay.
+sim::Duration airtimeFloor() { return phy::PhyParams{}.frameAirtime(0); }
 
 sim::TimePoint tp(double seconds) {
   return sim::kTimeZero + sim::fromSeconds(seconds);
@@ -233,6 +238,63 @@ TEST(CkptConfig, ResolvedConfigRoundTripsByteExact) {
   // No operator== on ScenarioConfig: byte-stability of a re-encode is the
   // equality oracle (and what resume relies on).
   EXPECT_EQ(encodeConfig(decodeConfig(blob)), blob);
+}
+
+/// Runs `fn` and expects a ckpt::Error whose message names `field`.
+void expectErrorNaming(const std::function<void()>& fn, const char* field) {
+  try {
+    fn();
+    ADD_FAILURE() << "accepted an invalid " << field;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CkptConfig, DecodeRejectsPhyParamsTheChannelRefuses) {
+  // phy::Channel requires a positive radius and bit rate and every
+  // carrier-sense event to fire before the shortest frame ends; a blob
+  // that breaks one is rejected by field name, not by a precondition.
+  const auto decodeWith = [](void (*breakIt)(phy::PhyParams&)) {
+    ScenarioConfig c = smallConfig().resolved();
+    breakIt(c.phy);
+    return [blob = encodeConfig(c)] { decodeConfig(blob); };
+  };
+  expectErrorNaming(decodeWith([](phy::PhyParams& p) {
+                      p.carrierSenseDelay = airtimeFloor();
+                    }),
+                    "phy.carrierSenseDelay");
+  expectErrorNaming(decodeWith([](phy::PhyParams& p) {
+                      p.carrierSenseDelay = sim::Duration{-1};
+                    }),
+                    "phy.carrierSenseDelay");
+  expectErrorNaming(
+      decodeWith([](phy::PhyParams& p) { p.radiusMeters = 0.0; }),
+      "phy.radiusMeters");
+  expectErrorNaming(
+      decodeWith([](phy::PhyParams& p) { p.bitRateBps = -1.0; }),
+      "phy.bitRateBps");
+  EXPECT_NO_THROW(decodeWith([](phy::PhyParams& p) {
+    p.carrierSenseDelay = airtimeFloor() - sim::Duration{1};
+  })());
+}
+
+TEST(Ckpt, ResumeRejectsBlobWithInvalidCarrierSenseDelay) {
+  World prefix(smallConfig());
+  prefix.beginRun();
+  prefix.continueUntil(midpointOf(prefix));
+  std::vector<Section> sections = parseContainer(capture(prefix));
+  bool patched = false;
+  for (Section& section : sections) {
+    if (section.tag != "CFG0") continue;
+    ScenarioConfig c = decodeConfig(section.payload);
+    c.phy.carrierSenseDelay = airtimeFloor();
+    section.payload = encodeConfig(c);
+    patched = true;
+  }
+  ASSERT_TRUE(patched);
+  expectErrorNaming([&] { resume(frameContainer(sections)); },
+                    "phy.carrierSenseDelay");
 }
 
 // ------------------------------------------------- resume equivalence core

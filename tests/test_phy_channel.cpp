@@ -287,6 +287,26 @@ TEST_F(ChannelTest, DoubleAttachIsRejected) {
                "Precondition");
 }
 
+TEST_F(ChannelTest, CarrierSenseDelayMustStayBelowShortestFrame) {
+  // Reception cohorts rely on every receiver sensing a frame before any
+  // frame can end (DESIGN.md §11.6).
+  PhyParams p;
+  p.carrierSenseDelay = p.frameAirtime(0);
+  EXPECT_DEATH(makeChannel(p), "Precondition");
+  p.carrierSenseDelay = sim::Duration{-1};
+  EXPECT_DEATH(makeChannel(p), "Precondition");
+  p.carrierSenseDelay = p.frameAirtime(0) - sim::Duration{1};
+  Channel& ch = makeChannel(p);
+  const HostId a = addNode({0, 0});
+  const HostId b = addNode({100, 0});
+  const sim::TimePoint end = ch.transmit(a, dataPacket(a), 0);
+  scheduler_.runUntil(end - sim::Duration{1});
+  EXPECT_TRUE(ch.carrierBusy(b));
+  scheduler_.runAll();
+  ASSERT_EQ(probe(b).receptions.size(), 1u);
+  EXPECT_FALSE(probe(b).receptions[0].corrupted);
+}
+
 TEST_F(ChannelTest, TransmitWhileTransmittingIsRejected) {
   Channel& ch = makeChannel();
   const HostId a = addNode({0, 0});
