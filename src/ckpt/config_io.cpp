@@ -24,6 +24,32 @@ geom::Vec2 decodeVec2(Reader& r) {
   return v;
 }
 
+/// Reads an enum byte and rejects any value past `last`, the enum's final
+/// enumerator, by field name.
+template <typename Enum>
+Enum decodeEnum(Reader& r, Enum last, const char* field) {
+  const std::uint8_t raw = r.u8();
+  if (raw > static_cast<std::uint8_t>(last)) {
+    throw Error(std::string("config ") + field + " byte " +
+                std::to_string(raw) + " names no enumerator");
+  }
+  return static_cast<Enum>(raw);
+}
+
+void requireProbability(double p, const char* field) {
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw Error(std::string("config ") + field + " " + std::to_string(p) +
+                " must lie in [0, 1]");
+  }
+}
+
+void requireAtLeastOne(int value, const char* field) {
+  if (value < 1) {
+    throw Error(std::string("config ") + field + " " +
+                std::to_string(value) + " must be at least 1");
+  }
+}
+
 std::uint64_t countGuard(Reader& r, const char* what) {
   const std::uint64_t n = r.u64();
   if (n > r.remaining()) {
@@ -57,7 +83,7 @@ void encodeScheme(Writer& w, const SchemeSpec& s) {
 
 SchemeSpec decodeScheme(Reader& r) {
   SchemeSpec s;
-  s.type = static_cast<SchemeSpec::Type>(r.u8());
+  s.type = decodeEnum(r, SchemeSpec::Type::kCluster, "scheme.type");
   s.probability = r.f64();
   s.counterC = static_cast<int>(r.i64());
   s.distanceD = r.f64();
@@ -175,11 +201,13 @@ experiment::ScenarioConfig decodeConfig(const std::vector<std::uint8_t>& b) {
   c.maxSpeedKmh = r.f64();
   c.fixedPositions.resize(countGuard(r, "fixed position"));
   for (geom::Vec2& p : c.fixedPositions) p = decodeVec2(r);
-  c.mobility = static_cast<ScenarioConfig::Mobility>(r.u8());
+  c.mobility =
+      decodeEnum(r, ScenarioConfig::Mobility::kGroup, "mobility");
   c.groupSize = static_cast<int>(r.i64());
   c.groupSpanMeters = r.f64();
   c.scheme = decodeScheme(r);
-  c.neighborSource = static_cast<experiment::NeighborSource>(r.u8());
+  c.neighborSource =
+      decodeEnum(r, experiment::NeighborSource::kHello, "neighborSource");
   c.hello.enabled = r.boolean();
   c.hello.interval = r.duration();
   c.hello.dynamic = r.boolean();
@@ -193,7 +221,8 @@ experiment::ScenarioConfig decodeConfig(const std::vector<std::uint8_t>& b) {
   c.hello.periodJitterFraction = r.f64();
   c.numBroadcasts = static_cast<int>(r.i64());
   c.interarrivalMax = r.duration();
-  c.traffic.arrival = static_cast<traffic::TrafficConfig::Arrival>(r.u8());
+  c.traffic.arrival = decodeEnum(r, traffic::TrafficConfig::Arrival::kReplay,
+                                 "traffic.arrival");
   c.traffic.poissonRatePerSecond = r.f64();
   c.traffic.period = r.duration();
   c.traffic.burstLength = static_cast<int>(r.i64());
@@ -205,7 +234,8 @@ experiment::ScenarioConfig decodeConfig(const std::vector<std::uint8_t>& b) {
     q.source = net::HostId{r.u32()};
     q.seq = r.u32();
   }
-  c.traffic.sources = static_cast<traffic::TrafficConfig::Sources>(r.u8());
+  c.traffic.sources = decodeEnum(r, traffic::TrafficConfig::Sources::kZone,
+                                 "traffic.sources");
   c.traffic.hotspotCount = static_cast<int>(r.i64());
   c.traffic.hotspotIds.resize(countGuard(r, "hotspot id"));
   for (net::HostId& id : c.traffic.hotspotIds) id = net::HostId{r.u32()};
@@ -231,7 +261,8 @@ experiment::ScenarioConfig decodeConfig(const std::vector<std::uint8_t>& b) {
   c.jitterSlots = static_cast<int>(r.i64());
   c.collisions = r.boolean();
   c.channelGrid = r.boolean();
-  c.fault.loss = static_cast<fault::FaultConfig::Loss>(r.u8());
+  c.fault.loss = decodeEnum(r, fault::FaultConfig::Loss::kGilbertElliott,
+                            "fault.loss");
   c.fault.per = r.f64();
   c.fault.geLossGood = r.f64();
   c.fault.geLossBad = r.f64();
@@ -251,8 +282,17 @@ experiment::ScenarioConfig decodeConfig(const std::vector<std::uint8_t>& b) {
   if (!r.atEnd()) {
     throw Error("trailing bytes after config payload");
   }
-  // phy::Channel requires these; a blob that breaks them is rejected here,
-  // by field name, instead of aborting on the channel's precondition.
+  // ScenarioConfig::resolved(), the loss models and phy::Channel require
+  // these; a blob that breaks them is rejected here, by field name, instead
+  // of aborting on a precondition.
+  requireAtLeastOne(c.mapUnits, "mapUnits");
+  requireAtLeastOne(c.numHosts, "numHosts");
+  requireProbability(c.fault.per, "fault.per");
+  requireProbability(c.fault.geLossGood, "fault.geLossGood");
+  requireProbability(c.fault.geLossBad, "fault.geLossBad");
+  requireProbability(c.fault.geGoodToBad, "fault.geGoodToBad");
+  requireProbability(c.fault.geBadToGood, "fault.geBadToGood");
+  requireProbability(c.fault.churnFraction, "fault.churnFraction");
   if (!(c.phy.radiusMeters > 0.0)) {
     throw Error("config phy.radiusMeters " + std::to_string(c.phy.radiusMeters) +
                 " must be positive");

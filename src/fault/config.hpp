@@ -70,6 +70,9 @@ struct FaultConfig {
   ///   MANET_FAULT_CHURN = 0 | 1
   ///   MANET_FAULT_CHURN_FRACTION = <double>
   ///   MANET_FAULT_UP_S / MANET_FAULT_DOWN_S = <double seconds>
+  /// An unknown LOSS name, a probability (PER, GE_*, CHURN_FRACTION)
+  /// outside [0, 1], or a malformed number throws std::invalid_argument
+  /// naming the variable.
   FaultConfig withEnvOverrides() const;
 };
 

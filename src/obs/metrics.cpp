@@ -48,9 +48,6 @@ const char* name(Counter counter) {
     case Counter::kEngineAllocPacketFresh: return "engine.alloc.packet.fresh";
     case Counter::kEngineAllocPacketReused:
       return "engine.alloc.packet.reused";
-    case Counter::kShardWindows: return "engine.shard.windows";
-    case Counter::kShardBarrierEvents: return "engine.shard.barrier_events";
-    case Counter::kShardCrossMsgs: return "engine.shard.cross_msgs";
     case Counter::kTrafficOffered: return "traffic.offered";
     case Counter::kTrafficInjected: return "traffic.injected";
     case Counter::kTrafficBlockedHostDown: return "traffic.blocked.host_down";

@@ -23,15 +23,6 @@ struct PhyParams {
   /// senseDelayValid(); in practice it is far below that bound.
   sim::Duration carrierSenseDelay{5};  // us (within one 20 us slot)
 
-  /// Conservative cross-region lookahead (DESIGN.md §15): minimum
-  /// propagation delay (zero — the unit-disk channel is instantaneous)
-  /// plus the shortest possible TX time, frameAirtime(0) (PLCP preamble +
-  /// header alone). A transmission committed at t cannot complete at any
-  /// receiver — in its own region or a neighboring one — before
-  /// t + minInteractionDelay(), so region clocks may advance this far
-  /// apart before exchanging deliveries at a window barrier.
-  sim::Duration minInteractionDelay() const { return frameAirtime(0); }
-
   /// True when 0 <= carrierSenseDelay < frameAirtime(0): every receiver
   /// senses a frame before the shortest possible frame ends, which the
   /// channel's reception cohorts rely on (DESIGN.md §11.6). phy::Channel

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "geom/vec2.hpp"
-#include "sim/shard/range_executor.hpp"
 
 namespace manet::stats {
 
@@ -24,16 +23,6 @@ int reachableCount(const std::vector<geom::Vec2>& positions, double radius,
 int reachableCount(const std::vector<geom::Vec2>& positions,
                    const std::vector<bool>& alive, double radius,
                    std::size_t source);
-
-/// As above, optionally fanning the per-level frontier expansion across
-/// `executor`'s lanes (level-synchronous BFS with atomic claims). The set
-/// of nodes discovered per level — and therefore the count — is identical
-/// to the serial BFS for any lane count; pass nullptr (or a small
-/// population) to fall back to the serial walk. `alive` may be nullptr.
-int reachableCount(const std::vector<geom::Vec2>& positions,
-                   const std::vector<bool>* alive, double radius,
-                   std::size_t source,
-                   const sim::shard::RangeExecutor* executor);
 
 /// Ids of the hosts reachable from `source` (excluding it), ascending.
 std::vector<std::size_t> reachableSet(const std::vector<geom::Vec2>& positions,

@@ -1,6 +1,7 @@
 #include "traffic/config.hpp"
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "util/env.hpp"
@@ -41,6 +42,10 @@ TrafficConfig TrafficConfig::withEnvOverrides() const {
       out.arrival = Arrival::kPeriodic;
     } else if (*arrivalName == "burst") {
       out.arrival = Arrival::kBurst;
+    } else if (!arrivalName->empty()) {
+      throw std::invalid_argument(
+          "MANET_TRAFFIC_ARRIVAL=\"" + *arrivalName +
+          "\" is not one of uniform, poisson, cbr, periodic, burst");
     }
   }
   if (util::envString("MANET_TRAFFIC_RATE")) {
@@ -79,6 +84,9 @@ TrafficConfig TrafficConfig::withEnvOverrides() const {
       out.sources = Sources::kHotspot;
     } else if (*sourcesName == "zone") {
       out.sources = Sources::kZone;
+    } else if (!sourcesName->empty()) {
+      throw std::invalid_argument("MANET_TRAFFIC_SOURCES=\"" + *sourcesName +
+                                  "\" is not one of uniform, hotspot, zone");
     }
   }
   out.hotspotCount = static_cast<int>(

@@ -95,7 +95,9 @@ struct TrafficConfig {
   ///   MANET_TRAFFIC_SOURCES = uniform | hotspot | zone
   ///   MANET_TRAFFIC_HOTSPOT_K = <int>
   ///   MANET_TRAFFIC_ZONE = "x0,y0,x1,y1"           (map-side fractions)
-  /// Replay scripts are programmatic-only — there is no env spelling.
+  /// Replay scripts are programmatic-only — there is no env spelling. An
+  /// unknown ARRIVAL or SOURCES name, or a malformed number, throws
+  /// std::invalid_argument naming the variable.
   TrafficConfig withEnvOverrides() const;
 };
 

@@ -1,15 +1,28 @@
 #include "util/env.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace manet::util {
+
+namespace {
+
+[[noreturn]] void reject(const char* name, const char* raw, const char* why) {
+  throw std::invalid_argument(std::string(name) + "=\"" + raw + "\" " + why);
+}
+
+}  // namespace
 
 std::int64_t envInt(const char* name, std::int64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(raw, &end, 10);
-  if (end == raw) return fallback;
+  if (end == raw || *end != '\0') reject(name, raw, "is not an integer");
+  if (errno == ERANGE) reject(name, raw, "is out of range");
   return static_cast<std::int64_t>(value);
 }
 
@@ -18,7 +31,8 @@ double envDouble(const char* name, double fallback) {
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
   const double value = std::strtod(raw, &end);
-  if (end == raw) return fallback;
+  if (end == raw || *end != '\0') reject(name, raw, "is not a number");
+  if (!std::isfinite(value)) reject(name, raw, "is not finite");
   return value;
 }
 

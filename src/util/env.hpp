@@ -9,10 +9,14 @@
 namespace manet::util {
 
 /// Returns the integer value of environment variable `name`, or `fallback`
-/// when unset or unparsable.
+/// when unset or empty. Throws std::invalid_argument naming the variable
+/// and its value when the text is not a whole base-10 integer (trailing
+/// characters included) or is out of range.
 std::int64_t envInt(const char* name, std::int64_t fallback);
 
-/// Returns the double value of environment variable `name`, or `fallback`.
+/// Returns the double value of environment variable `name`, or `fallback`
+/// when unset or empty. Throws std::invalid_argument naming the variable
+/// and its value when the text is not a whole number or is not finite.
 double envDouble(const char* name, double fallback);
 
 /// Returns the string value of environment variable `name` if set.

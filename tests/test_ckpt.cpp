@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -253,29 +254,89 @@ void expectErrorNaming(const std::function<void()>& fn, const char* field) {
 
 TEST(CkptConfig, DecodeRejectsPhyParamsTheChannelRefuses) {
   // phy::Channel requires a positive radius and bit rate and every
-  // carrier-sense event to fire before the shortest frame ends; a blob
+  // carrier-sense event to fire before the shortest frame ends;
+  // ScenarioConfig::resolved() requires a map and a host; the loss models
+  // require probabilities; every enum byte must name an enumerator. A blob
   // that breaks one is rejected by field name, not by a precondition.
-  const auto decodeWith = [](void (*breakIt)(phy::PhyParams&)) {
+  const auto decodeWith = [](void (*breakIt)(ScenarioConfig&)) {
     ScenarioConfig c = smallConfig().resolved();
-    breakIt(c.phy);
+    breakIt(c);
     return [blob = encodeConfig(c)] { decodeConfig(blob); };
   };
-  expectErrorNaming(decodeWith([](phy::PhyParams& p) {
-                      p.carrierSenseDelay = airtimeFloor();
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.phy.carrierSenseDelay = airtimeFloor();
                     }),
                     "phy.carrierSenseDelay");
-  expectErrorNaming(decodeWith([](phy::PhyParams& p) {
-                      p.carrierSenseDelay = sim::Duration{-1};
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.phy.carrierSenseDelay = sim::Duration{-1};
                     }),
                     "phy.carrierSenseDelay");
   expectErrorNaming(
-      decodeWith([](phy::PhyParams& p) { p.radiusMeters = 0.0; }),
+      decodeWith([](ScenarioConfig& c) { c.phy.radiusMeters = 0.0; }),
       "phy.radiusMeters");
   expectErrorNaming(
-      decodeWith([](phy::PhyParams& p) { p.bitRateBps = -1.0; }),
+      decodeWith([](ScenarioConfig& c) { c.phy.bitRateBps = -1.0; }),
       "phy.bitRateBps");
-  EXPECT_NO_THROW(decodeWith([](phy::PhyParams& p) {
-    p.carrierSenseDelay = airtimeFloor() - sim::Duration{1};
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) { c.numHosts = -3; }),
+                    "numHosts");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) { c.mapUnits = 0; }),
+                    "mapUnits");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) { c.fault.per = 1.7; }),
+                    "fault.per");
+  expectErrorNaming(
+      decodeWith([](ScenarioConfig& c) { c.fault.geLossGood = -0.1; }),
+      "fault.geLossGood");
+  expectErrorNaming(
+      decodeWith([](ScenarioConfig& c) { c.fault.geLossBad = 2.0; }),
+      "fault.geLossBad");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.fault.geGoodToBad =
+                          std::numeric_limits<double>::quiet_NaN();
+                    }),
+                    "fault.geGoodToBad");
+  expectErrorNaming(
+      decodeWith([](ScenarioConfig& c) { c.fault.geBadToGood = 1.5; }),
+      "fault.geBadToGood");
+  expectErrorNaming(
+      decodeWith([](ScenarioConfig& c) { c.fault.churnFraction = -1.0; }),
+      "fault.churnFraction");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.mobility = static_cast<ScenarioConfig::Mobility>(0xFF);
+                    }),
+                    "mobility");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.neighborSource =
+                          static_cast<experiment::NeighborSource>(2);
+                    }),
+                    "neighborSource");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.scheme.type = static_cast<SchemeSpec::Type>(9);
+                    }),
+                    "scheme.type");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.traffic.arrival =
+                          static_cast<traffic::TrafficConfig::Arrival>(5);
+                    }),
+                    "traffic.arrival");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.traffic.sources =
+                          static_cast<traffic::TrafficConfig::Sources>(3);
+                    }),
+                    "traffic.sources");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.fault.loss = static_cast<fault::FaultConfig::Loss>(3);
+                    }),
+                    "fault.loss");
+  EXPECT_NO_THROW(decodeWith([](ScenarioConfig& c) {
+    c.phy.carrierSenseDelay = airtimeFloor() - sim::Duration{1};
+  })());
+  EXPECT_NO_THROW(decodeWith([](ScenarioConfig& c) {
+    c.mobility = ScenarioConfig::Mobility::kGroup;
+    c.scheme.type = SchemeSpec::Type::kCluster;
+    c.traffic.arrival = traffic::TrafficConfig::Arrival::kBurst;
+    c.traffic.sources = traffic::TrafficConfig::Sources::kZone;
+    c.fault.per = 1.0;
+    c.fault.churnFraction = 0.0;
   })());
 }
 

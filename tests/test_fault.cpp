@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "experiment/runner.hpp"
 #include "experiment/world.hpp"
@@ -202,6 +204,50 @@ TEST(FaultConfigEnv, BarePerImpliesIid) {
   ::unsetenv("MANET_FAULT_PER");
   EXPECT_EQ(out.loss, FaultConfig::Loss::kIid);
   EXPECT_DOUBLE_EQ(out.per, 0.25);
+}
+
+/// Sets `name` to `value` and expects withEnvOverrides() to throw
+/// std::invalid_argument naming the variable.
+void expectFaultKnobRejected(const char* name, const char* value) {
+  ::setenv(name, value, 1);
+  try {
+    (void)FaultConfig{}.withEnvOverrides();
+    ADD_FAILURE() << name << "=" << value << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+        << e.what();
+  }
+  ::unsetenv(name);
+}
+
+TEST(FaultConfigEnv, RejectsUnknownLossName) {
+  expectFaultKnobRejected("MANET_FAULT_LOSS", "bursty");
+}
+
+TEST(FaultConfigEnv, RejectsProbabilitiesOutsideTheUnitInterval) {
+  expectFaultKnobRejected("MANET_FAULT_PER", "1.7");
+  expectFaultKnobRejected("MANET_FAULT_PER", "-0.1");
+  expectFaultKnobRejected("MANET_FAULT_GE_LOSS_GOOD", "2");
+  expectFaultKnobRejected("MANET_FAULT_GE_LOSS_BAD", "-1");
+  expectFaultKnobRejected("MANET_FAULT_GE_P_GB", "1.01");
+  expectFaultKnobRejected("MANET_FAULT_GE_P_BG", "nan");
+  expectFaultKnobRejected("MANET_FAULT_CHURN_FRACTION", "1.5");
+}
+
+TEST(FaultConfigEnv, RejectsMalformedNumbers) {
+  expectFaultKnobRejected("MANET_FAULT_PER", "0.3x");
+  expectFaultKnobRejected("MANET_FAULT_CHURN", "yes");
+  expectFaultKnobRejected("MANET_FAULT_UP_S", "5s");
+}
+
+TEST(FaultConfigEnv, AcceptsTheUnitIntervalBounds) {
+  ::setenv("MANET_FAULT_PER", "1", 1);
+  ::setenv("MANET_FAULT_CHURN_FRACTION", "0", 1);
+  const FaultConfig out = FaultConfig{}.withEnvOverrides();
+  ::unsetenv("MANET_FAULT_PER");
+  ::unsetenv("MANET_FAULT_CHURN_FRACTION");
+  EXPECT_DOUBLE_EQ(out.per, 1.0);
+  EXPECT_DOUBLE_EQ(out.churnFraction, 0.0);
 }
 
 // ------------------------------------------------- world integration

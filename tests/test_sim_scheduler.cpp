@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <memory>
@@ -121,6 +122,53 @@ TEST(Scheduler, RunUntilAdvancesClockWhenQueueDrains) {
   Scheduler s;
   s.runUntil(TimePoint{500});
   EXPECT_EQ(s.now(), TimePoint{500});
+}
+
+TEST(Scheduler, ChunkedRunUntilMatchesAStraightRun) {
+  // runUntil(a); runUntil(b) must replay runUntil(b) exactly: events on a
+  // chunk boundary fire in the chunk that ends there, and the clock parks
+  // on the boundary. Checkpoint anchors split runs this way.
+  const Duration chunk{192};
+  const TimePoint horizon = kTimeZero + Duration{1000};
+  const std::vector<Duration> offsets = {
+      Duration{0},   Duration{191}, Duration{192},  // on boundary 1
+      Duration{193}, Duration{384},                 // on boundary 2
+      Duration{575}, Duration{1000},                // on the horizon
+  };
+  using Log = std::vector<std::pair<std::size_t, TimePoint>>;
+  const auto record = [&](Scheduler& s, Log& log) {
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+      s.schedule(kTimeZero + offsets[i], [&log, &s, i] {
+        log.emplace_back(i, s.now());
+        // A follow-up landing exactly on a later boundary.
+        if (i == 1) {
+          s.schedule(kTimeZero + Duration{768},
+                     [&log, &s] { log.emplace_back(99, s.now()); });
+        }
+      });
+    }
+  };
+
+  Scheduler straight;
+  Log straightLog;
+  record(straight, straightLog);
+  straight.runUntil(horizon);
+
+  Scheduler chunked;
+  Log chunkedLog;
+  record(chunked, chunkedLog);
+  int chunks = 0;
+  for (TimePoint cursor = kTimeZero; cursor < horizon; ++chunks) {
+    cursor = std::min(cursor + chunk, horizon);
+    chunked.runUntil(cursor);
+    EXPECT_EQ(chunked.now(), cursor);
+  }
+
+  EXPECT_EQ(chunks, 6);  // ceil(1000 / 192)
+  EXPECT_EQ(straightLog.size(), offsets.size() + 1);
+  EXPECT_EQ(chunkedLog, straightLog);
+  EXPECT_EQ(chunked.now(), straight.now());
+  EXPECT_EQ(chunked.pendingCount(), 0u);
 }
 
 TEST(Scheduler, EventsMayScheduleMoreEvents) {

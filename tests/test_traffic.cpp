@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "experiment/runner.hpp"
@@ -355,6 +357,32 @@ TEST(TrafficConfigEnv, BareRateImpliesPoissonAndPeriodImpliesCbr) {
   ::unsetenv("MANET_TRAFFIC_PERIOD_S");
   EXPECT_EQ(cbr.arrival, TrafficConfig::Arrival::kPeriodic);
   EXPECT_EQ(cbr.period, kSecond / 2);
+}
+
+/// Sets `name` to `value` and expects withEnvOverrides() to throw
+/// std::invalid_argument naming the variable.
+void expectTrafficKnobRejected(const char* name, const char* value) {
+  ::setenv(name, value, 1);
+  try {
+    (void)TrafficConfig{}.withEnvOverrides();
+    ADD_FAILURE() << name << "=" << value << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+        << e.what();
+  }
+  ::unsetenv(name);
+}
+
+TEST(TrafficConfigEnv, RejectsUnknownNames) {
+  expectTrafficKnobRejected("MANET_TRAFFIC_ARRIVAL", "bursty");
+  expectTrafficKnobRejected("MANET_TRAFFIC_ARRIVAL", "replay");
+  expectTrafficKnobRejected("MANET_TRAFFIC_SOURCES", "hotspots");
+}
+
+TEST(TrafficConfigEnv, RejectsMalformedNumbers) {
+  expectTrafficKnobRejected("MANET_TRAFFIC_RATE", "2.5/s");
+  expectTrafficKnobRejected("MANET_TRAFFIC_BURST_LEN", "12x");
+  expectTrafficKnobRejected("MANET_TRAFFIC_IDLE_S", "inf");
 }
 
 TEST(TrafficConfigEnv, ZoneParsesFourFractions) {

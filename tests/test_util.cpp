@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/env.hpp"
 #include "util/log.hpp"
@@ -77,8 +79,6 @@ TEST(Env, IntFallbacks) {
   EXPECT_EQ(envInt("MANET_TEST_ENV_X", 42), 42);
   setenv("MANET_TEST_ENV_X", "17", 1);
   EXPECT_EQ(envInt("MANET_TEST_ENV_X", 42), 17);
-  setenv("MANET_TEST_ENV_X", "not-a-number", 1);
-  EXPECT_EQ(envInt("MANET_TEST_ENV_X", 42), 42);
   setenv("MANET_TEST_ENV_X", "", 1);
   EXPECT_EQ(envInt("MANET_TEST_ENV_X", 42), 42);
   unsetenv("MANET_TEST_ENV_X");
@@ -95,6 +95,47 @@ TEST(Env, DoubleParsing) {
   EXPECT_DOUBLE_EQ(envDouble("MANET_TEST_ENV_D", 1.0), 2.5);
   unsetenv("MANET_TEST_ENV_D");
   EXPECT_DOUBLE_EQ(envDouble("MANET_TEST_ENV_D", 1.0), 1.0);
+}
+
+/// Sets `name` to `value`, runs `fn`, and expects std::invalid_argument
+/// whose message names both the variable and the offending text.
+template <typename Fn>
+void expectRejected(const char* name, const char* value, Fn fn) {
+  setenv(name, value, 1);
+  try {
+    fn();
+    ADD_FAILURE() << name << "=" << value << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(name), std::string::npos) << what;
+    EXPECT_NE(what.find(value), std::string::npos) << what;
+  }
+  unsetenv(name);
+}
+
+TEST(Env, RejectsMalformedIntegersNamingTheVariable) {
+  const auto read = [] { envInt("MANET_TEST_ENV_I", 42); };
+  expectRejected("MANET_TEST_ENV_I", "3x", read);
+  expectRejected("MANET_TEST_ENV_I", "7 ", read);
+  expectRejected("MANET_TEST_ENV_I", "2.5", read);
+  expectRejected("MANET_TEST_ENV_I", "not-a-number", read);
+  expectRejected("MANET_TEST_ENV_I", "99999999999999999999", read);
+  expectRejected("MANET_TEST_ENV_I", "-99999999999999999999", read);
+}
+
+TEST(Env, RejectsMalformedOrNonFiniteDoublesNamingTheVariable) {
+  const auto read = [] { envDouble("MANET_TEST_ENV_F", 1.0); };
+  expectRejected("MANET_TEST_ENV_F", "0.5s", read);
+  expectRejected("MANET_TEST_ENV_F", "abc", read);
+  expectRejected("MANET_TEST_ENV_F", "1e400", read);
+  expectRejected("MANET_TEST_ENV_F", "inf", read);
+  expectRejected("MANET_TEST_ENV_F", "-infinity", read);
+  expectRejected("MANET_TEST_ENV_F", "nan", read);
+  setenv("MANET_TEST_ENV_F", "", 1);
+  EXPECT_DOUBLE_EQ(envDouble("MANET_TEST_ENV_F", 1.0), 1.0);
+  setenv("MANET_TEST_ENV_F", "-1e-3", 1);
+  EXPECT_DOUBLE_EQ(envDouble("MANET_TEST_ENV_F", 1.0), -1e-3);
+  unsetenv("MANET_TEST_ENV_F");
 }
 
 TEST(Env, StringPresence) {
