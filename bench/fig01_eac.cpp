@@ -2,6 +2,7 @@
 // the same broadcast packet k times. Paper's shape: ~0.41 at k=1, below 5%
 // for k >= 4.
 #include <iostream>
+#include <limits>
 
 #include "bench_common.hpp"
 #include "geom/coverage.hpp"
@@ -16,10 +17,9 @@ int main() {
   bench::banner("Fig. 1 - EAC(k)",
                 "EAC(1) ~ 0.41; EAC(k) < 5% once k >= 4", scale);
 
-  const int trials =
-      static_cast<int>(util::envInt("REPRO_MC_TRIALS", 4000));
-  const int samples =
-      static_cast<int>(util::envInt("REPRO_MC_SAMPLES", 1024));
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const int trials = util::envInt("REPRO_MC_TRIALS", 4000, 1, kMax);
+  const int samples = util::envInt("REPRO_MC_SAMPLES", 1024, 1, kMax);
   sim::Rng rng(scale.seed);
   const auto series = geom::eacSeries(10, 500.0, rng, trials, samples);
 

@@ -3,6 +3,7 @@
 // rises above 0.8 by n = 6; cf(n, 1) drops sharply; cf(n, k >= 2) negligible;
 // cf(n, n-1) = 0 structurally.
 #include <iostream>
+#include <limits>
 
 #include "bench_common.hpp"
 #include "geom/contention.hpp"
@@ -17,8 +18,8 @@ int main() {
   bench::banner("Fig. 2 - cf(n,k)",
                 "cf(n,0) > 0.8 for n >= 6; cf(n,1) drops sharply", scale);
 
-  const int trials =
-      static_cast<int>(util::envInt("REPRO_MC_TRIALS", 20000));
+  const int trials = util::envInt("REPRO_MC_TRIALS", 20000, 1,
+                                  std::numeric_limits<int>::max());
   sim::Rng rng(scale.seed);
 
   util::Table table(

@@ -1,10 +1,12 @@
 #include "ckpt/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "ckpt/config_io.hpp"
@@ -17,20 +19,121 @@
 
 namespace manet::ckpt {
 
-std::vector<std::uint8_t> capture(const experiment::World& world) {
-  return encodeWorldImage(StateAccess::captureWorld(world));
+namespace {
+
+const Section& findSection(const std::vector<Section>& sections,
+                           const char* tag) {
+  for (const Section& s : sections) {
+    if (s.tag == tag) return s;
+  }
+  throw Error(std::string("checkpoint is missing section ") + tag);
 }
 
-Resumed resume(const std::vector<std::uint8_t>& blob) {
-  WorldImage stored = decodeWorldImage(blob);
-  const experiment::ScenarioConfig config = decodeConfig(stored.configBlob);
+void expectEnd(const Reader& r, const char* tag) {
+  if (!r.atEnd()) {
+    throw Error(std::string("section ") + tag + " has " +
+                std::to_string(r.remaining()) + " trailing bytes");
+  }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> capture(const experiment::World& world) {
+  Writer meta;
+  meta.time(world.now());
+  meta.time(world.horizonTime());
+  meta.boolean(obs::current() != nullptr);
+  return frameContainer({{"CFG0", encodeConfig(world.config())},
+                         {"META", meta.take()},
+                         {"DGST", encodeDigests(StateAccess::digests(world))}});
+}
+
+std::vector<std::uint8_t> encodeDigests(const StateDigests& digests) {
+  Writer w;
+  w.u64(digests.size());
+  for (const NamedDigest& entry : digests) {
+    w.str(entry.name);
+    w.u64(entry.value);
+  }
+  return w.take();
+}
+
+StateDigests decodeDigests(const std::vector<std::uint8_t>& payload) {
+  Reader r(payload);
+  const std::uint64_t count = r.u64();
+  // Every entry takes at least 16 bytes; a larger count is a corrupt length
+  // field, caught here instead of via bad_alloc.
+  if (count > r.remaining() / 16) {
+    throw Error("implausible digest count " + std::to_string(count));
+  }
+  StateDigests digests(static_cast<std::size_t>(count));
+  for (NamedDigest& entry : digests) {
+    entry.name = r.str();
+    entry.value = r.u64();
+  }
+  expectEnd(r, "DGST");
+  return digests;
+}
+
+std::vector<std::string> diffDigests(const StateDigests& stored,
+                                     const StateDigests& replayed) {
+  constexpr std::size_t kMaxLines = 32;
+  std::vector<std::string> out;
+  std::string lastGroup;
+  const std::size_t n = std::min(stored.size(), replayed.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const NamedDigest& a = stored[i];
+    const NamedDigest& b = replayed[i];
+    if (a.name != b.name) {
+      out.push_back("entry " + std::to_string(i) + " is '" + a.name +
+                    "' in the checkpoint but '" + b.name + "' on replay");
+      return out;
+    }
+    if (a.value == b.value) continue;
+    // Host entries are "host <id> <component>": one line per host.
+    const std::size_t space = a.name.rfind(' ');
+    if (space == std::string::npos) {
+      out.push_back(a.name + " differs (" + std::to_string(a.value) + " vs " +
+                    std::to_string(b.value) + ")");
+      lastGroup.clear();
+    } else if (std::string_view(a.name).substr(0, space) == lastGroup) {
+      out.back() += a.name.substr(space);
+      continue;
+    } else {
+      lastGroup = a.name.substr(0, space);
+      out.push_back(lastGroup + ":" + a.name.substr(space));
+    }
+    if (out.size() >= kMaxLines) {
+      out.push_back("... further diffs suppressed");
+      return out;
+    }
+  }
+  if (stored.size() != replayed.size()) {
+    out.push_back("digest count: " + std::to_string(stored.size()) + " vs " +
+                  std::to_string(replayed.size()));
+  }
+  return out;
+}
+
+std::unique_ptr<experiment::World> resume(
+    const std::vector<std::uint8_t>& blob) {
+  const std::vector<Section> sections = parseContainer(blob);
+  const experiment::ScenarioConfig config =
+      decodeConfig(findSection(sections, "CFG0").payload);
+  Reader meta(findSection(sections, "META").payload);
+  const sim::TimePoint anchor = meta.time();
+  const sim::TimePoint horizon = meta.time();
+  const bool hadRegistry = meta.boolean();
+  expectEnd(meta, "META");
+  const StateDigests stored =
+      decodeDigests(findSection(sections, "DGST").payload);
 
   // Replay must run in the same metrics-collection mode the capture saw, or
-  // the MetricsImage oracle can't match. A standalone resume (no registry on
+  // the `metrics` digest can't match. A standalone resume (no registry on
   // this thread) of a collection-on checkpoint gets a private registry for
   // the replay window.
   std::unique_ptr<obs::Registry> privateRegistry;
-  if (stored.metrics.hasRegistry && obs::current() == nullptr) {
+  if (hadRegistry && obs::current() == nullptr) {
     privateRegistry = std::make_unique<obs::Registry>();
   }
   obs::ScopedRegistry scope(privateRegistry != nullptr ? privateRegistry.get()
@@ -38,9 +141,14 @@ Resumed resume(const std::vector<std::uint8_t>& blob) {
 
   auto world = std::make_unique<experiment::World>(config);
   world->beginRun();
-  world->continueUntil(stored.anchor);
-  const WorldImage replayed = StateAccess::captureWorld(*world);
-  const std::vector<std::string> diffs = diffWorldImages(stored, replayed);
+  world->continueUntil(anchor);
+  std::vector<std::string> diffs =
+      diffDigests(stored, StateAccess::digests(*world));
+  if (world->horizonTime() != horizon) {
+    diffs.insert(diffs.begin(),
+                 "horizon: " + std::to_string(horizon.ticks()) + " vs " +
+                     std::to_string(world->horizonTime().ticks()) + " us");
+  }
   if (!diffs.empty()) {
     std::string msg =
         "resume verification failed: replay to the anchor diverged from the "
@@ -51,10 +159,7 @@ Resumed resume(const std::vector<std::uint8_t>& blob) {
     }
     throw Error(msg);
   }
-  Resumed out;
-  out.world = std::move(world);
-  out.image = std::move(stored);
-  return out;
+  return world;
 }
 
 void writeBlobFile(const std::string& path,
@@ -149,9 +254,9 @@ std::unique_ptr<experiment::World> runCheckpointCycle(
                       .string(),
                   blob);
   }
-  Resumed resumed = resume(blob);
-  resumed.world->runToEnd();
-  return std::move(resumed.world);
+  std::unique_ptr<experiment::World> resumed = resume(blob);
+  resumed->runToEnd();
+  return resumed;
 }
 
 experiment::SchemeSpec parseSchemeOverride(const std::string& text) {
@@ -204,11 +309,12 @@ bool configureFromCli(int argc, char** argv, const std::string& benchName) {
   }
 
   if (!resumePath.empty()) {
-    Resumed resumed = resume(readBlobFile(resumePath));
-    experiment::World& world = *resumed.world;
+    const std::unique_ptr<experiment::World> resumed =
+        resume(readBlobFile(resumePath));
+    experiment::World& world = *resumed;
     std::printf("resume %s at t=%.3fs of %.3fs\n", resumePath.c_str(),
-                sim::toSeconds(resumed.image.anchor),
-                sim::toSeconds(resumed.image.horizon));
+                sim::toSeconds(world.now()),
+                sim::toSeconds(world.horizonTime()));
     if (auto spec = util::envString("MANET_CKPT_SCHEME")) {
       const experiment::SchemeSpec scheme = parseSchemeOverride(*spec);
       world.overrideScheme(scheme);
@@ -249,7 +355,7 @@ void World::checkpoint(const std::string& path) const {
 }
 
 std::unique_ptr<World> World::resume(const std::string& path) {
-  return ckpt::resume(ckpt::readBlobFile(path)).world;
+  return ckpt::resume(ckpt::readBlobFile(path));
 }
 
 }  // namespace manet::experiment

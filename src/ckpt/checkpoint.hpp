@@ -1,22 +1,25 @@
 // Checkpoint/resume orchestration (DESIGN.md §14).
 //
 // A checkpoint is replay-anchored: the blob carries the resolved
-// ScenarioConfig, the anchor TimePoint, and a field-exact WorldImage of
-// every subsystem. Resume rebuilds the world from the config, deterministically
-// replays it to the anchor (the engine is byte-deterministic from a seed, so
-// replay IS restoration), re-captures, and verifies the replayed image equals
-// the stored one field-for-field before the tail runs. Any divergence — a
-// changed binary, a different env override, a nondeterminism bug — aborts
-// resume with a per-subsystem diff instead of silently producing a near-miss
-// run. Checkpoints are taken at event boundaries only (the quiescent-boundary
-// rule): continueUntil() stops between events, never inside one.
+// ScenarioConfig (CFG0), the anchor and horizon (META), and the world's
+// state oracle — named per-subsystem digests (DGST, ckpt::StateAccess).
+// Resume rebuilds the world from the config, deterministically replays it to
+// the anchor (the engine is byte-deterministic from a seed, so replay IS
+// restoration), re-captures the digests, and verifies they equal the stored
+// ones before the tail runs. Any divergence — a changed binary, a different
+// env override, a nondeterminism bug — aborts resume with the list of
+// differing subsystems and host components instead of silently producing a
+// near-miss run. Checkpoints are taken at event boundaries only (the
+// quiescent-boundary rule): continueUntil() stops between events, never
+// inside one.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "ckpt/image.hpp"
+#include "ckpt/digest.hpp"
+#include "ckpt/io.hpp"
 #include "experiment/scenario.hpp"
 
 namespace manet::experiment {
@@ -30,16 +33,22 @@ namespace manet::ckpt {
 /// future draws.
 std::vector<std::uint8_t> capture(const experiment::World& world);
 
-/// A world rebuilt from a checkpoint and verified at the anchor.
-struct Resumed {
-  std::unique_ptr<experiment::World> world;
-  WorldImage image;  // the blob's image (== the replayed one)
-};
+/// Rebuild + replay-to-anchor + verify; returns the world stopped at the
+/// anchor. Throws Error (listing the differing digest names) when the
+/// replayed state does not match the checkpoint exactly.
+std::unique_ptr<experiment::World> resume(
+    const std::vector<std::uint8_t>& blob);
 
-/// Rebuild + replay-to-anchor + verify. Throws Error (with the subsystem
-/// diff list in the message) when the replayed state does not match the
-/// checkpoint exactly.
-Resumed resume(const std::vector<std::uint8_t>& blob);
+/// The DGST section payload: a u64 entry count, then per entry the name
+/// (u64 length + bytes) and the u64 value.
+std::vector<std::uint8_t> encodeDigests(const StateDigests& digests);
+StateDigests decodeDigests(const std::vector<std::uint8_t>& payload);
+
+/// One line per differing world-level entry, and one per host listing its
+/// differing components ("host 3: mac nextSeq"), capped at 32 lines; empty
+/// when the two lists are equal.
+std::vector<std::string> diffDigests(const StateDigests& stored,
+                                     const StateDigests& replayed);
 
 /// Raw blob file I/O (binary, whole-file). Throws Error on I/O failure.
 void writeBlobFile(const std::string& path,

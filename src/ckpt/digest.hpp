@@ -1,10 +1,9 @@
 // Streaming FNV-1a 64-bit digest used by the checkpoint subsystem
 // (DESIGN.md §14): section payload checksums in the .mckpt container, and
-// compressed fingerprints of engine state that is verified-by-replay rather
-// than serialized field-by-field (MAC machines, decider state, mobility
-// integrators). Deterministic, platform-independent: every add() folds an
-// explicit little-endian byte expansion, never raw object memory, so padding
-// and endianness cannot leak in.
+// the named per-subsystem state digests that a checkpoint stores and resume
+// verifies by replay. Deterministic, platform-independent: every add() folds
+// an explicit little-endian byte expansion, never raw object memory, so
+// padding and endianness cannot leak in.
 //
 // src/ckpt/ is a sanctioned serialization home (tools/manet_lint.py U3):
 // time values are folded as their raw microsecond tick counts.
@@ -12,7 +11,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "sim/time.hpp"
 
@@ -57,5 +58,18 @@ inline std::uint64_t fnv1a(const void* data, std::size_t n) {
   d.addBytes(data, n);
   return d.value();
 }
+
+/// One entry of a world's state oracle: a subsystem (or host component) name
+/// and the 64-bit digest of its state — or, for a few counters such as
+/// `scheduler.nextSeq`, the raw value, which reads better in a divergence
+/// report.
+struct NamedDigest {
+  std::string name;
+  std::uint64_t value = 0;
+  friend bool operator==(const NamedDigest&, const NamedDigest&) = default;
+};
+
+/// A world's complete state oracle, in capture order (ckpt::StateAccess).
+using StateDigests = std::vector<NamedDigest>;
 
 }  // namespace manet::ckpt

@@ -6,7 +6,7 @@
 //   magic   "MCKPT1\n"            (7 bytes)
 //   version u32                   (kFormatVersion; mismatch rejects the file)
 //   sections, each:
-//     tag     4 ASCII bytes       ("CFG0", "SCHD", "HOST", ...)
+//     tag     4 ASCII bytes       ("CFG0", "META", "DGST")
 //     length  u64                 (payload bytes)
 //     payload length bytes
 //     digest  u64                 (FNV-1a 64 of the payload; bit flips and
@@ -26,7 +26,7 @@ namespace manet::ckpt {
 
 /// Checkpoint format version. Bump on any layout change; resume refuses a
 /// mismatched file rather than guessing (DESIGN.md §14 versioning policy).
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Leading magic; the trailing newline catches text-mode mangling early.
 inline constexpr char kMagic[] = "MCKPT1\n";

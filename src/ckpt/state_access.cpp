@@ -1,10 +1,9 @@
 #include "ckpt/state_access.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
-#include "ckpt/config_io.hpp"
-#include "ckpt/digest.hpp"
 #include "core/threshold.hpp"
 #include "experiment/host.hpp"
 #include "experiment/world.hpp"
@@ -51,59 +50,62 @@ std::uint64_t packetDigest(const net::Packet& p) {
   return d.value();
 }
 
-void addRng(Digest& d, const sim::Rng& rng) {
-  for (std::uint64_t word : StateAccess::rng(rng).s) d.add(word);
-}
-
 }  // namespace
 
 // --- Rng ---------------------------------------------------------------
 
-RngImage StateAccess::rng(const sim::Rng& rng) {
-  RngImage image;
-  for (int i = 0; i < 4; ++i) image.s[static_cast<std::size_t>(i)] = rng.s_[i];
-  return image;
+void StateAccess::addRng(Digest& d, const sim::Rng& rng) {
+  for (std::uint64_t word : rng.s_) d.add(word);
 }
 
 // --- scheduler ---------------------------------------------------------
 
-SchedulerImage StateAccess::scheduler(const sim::Scheduler& scheduler) {
-  SchedulerImage image;
-  image.now = scheduler.now_;
-  image.nextSeq = scheduler.nextSeq_;
-  image.liveCount = scheduler.live_;
-  image.slotCount = scheduler.slotCount_;
-  image.pending.reserve(scheduler.heap_.size());
+std::uint64_t StateAccess::schedulerDigest(const sim::Scheduler& scheduler) {
+  // The heap holds InlineFn closures, which replay re-registers; the
+  // (at, seq) keys they sort by are the state.
+  std::vector<std::pair<sim::TimePoint, std::uint64_t>> pending;
+  pending.reserve(scheduler.heap_.size());
   for (const auto& entry : scheduler.heap_) {
-    image.pending.push_back(PendingEventImage{entry.at, entry.seq});
+    pending.emplace_back(entry.at, entry.seq);
   }
-  std::sort(image.pending.begin(), image.pending.end(),
-            [](const PendingEventImage& a, const PendingEventImage& b) {
-              return a.at < b.at || (a.at == b.at && a.seq < b.seq);
-            });
-  return image;
+  std::sort(pending.begin(), pending.end());
+  Digest d;
+  d.add(scheduler.now_);
+  d.add(scheduler.nextSeq_);
+  d.add(static_cast<std::uint64_t>(scheduler.live_));
+  d.add(scheduler.slotCount_);
+  d.add(static_cast<std::uint64_t>(pending.size()));
+  for (const auto& [at, seq] : pending) {
+    d.add(at);
+    d.add(seq);
+  }
+  return d.value();
 }
 
 // --- neighbor table ----------------------------------------------------
 
-NeighborTableImage StateAccess::neighborTable(const net::NeighborTable& table) {
-  NeighborTableImage image;
-  image.entries.reserve(table.entries_.size());
+std::uint64_t StateAccess::neighborTableDigest(
+    const net::NeighborTable& table) {
+  std::vector<std::pair<std::uint32_t, const net::NeighborTable::Entry*>>
+      entries;
+  entries.reserve(table.entries_.size());
   for (const auto& [id, entry] : table.entries_) {
-    NeighborEntryImage e;
-    e.id = id.value();
-    e.lastHeard = entry.lastHeard;
-    e.interval = entry.interval;
-    e.neighbors.reserve(entry.neighbors.size());
-    for (net::HostId n : entry.neighbors) e.neighbors.push_back(n.value());
-    image.entries.push_back(std::move(e));
+    entries.emplace_back(id.value(), &entry);
   }
-  std::sort(image.entries.begin(), image.entries.end(),
-            [](const NeighborEntryImage& a, const NeighborEntryImage& b) {
-              return a.id < b.id;
-            });
-  image.changes.assign(table.changes_.begin(), table.changes_.end());
-  return image;
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  Digest d;
+  d.add(static_cast<std::uint64_t>(entries.size()));
+  for (const auto& [id, entry] : entries) {
+    d.add(id);
+    d.add(entry->lastHeard);
+    d.add(entry->interval);
+    d.add(static_cast<std::uint64_t>(entry->neighbors.size()));
+    for (net::HostId n : entry->neighbors) d.add(n.value());
+  }
+  d.add(static_cast<std::uint64_t>(table.changes_.size()));
+  for (sim::TimePoint t : table.changes_) d.add(t);
+  return d.value();
 }
 
 // --- MAC ---------------------------------------------------------------
@@ -217,23 +219,21 @@ std::uint64_t StateAccess::mobilityDigest(
 
 // --- channel -----------------------------------------------------------
 
-ChannelImage StateAccess::channel(const phy::Channel& channel) {
-  ChannelImage image;
-  image.framesTransmitted = channel.framesTransmitted_;
-  image.framesDelivered = channel.framesDelivered_;
-  image.framesCorrupted = channel.framesCorrupted_;
-  image.framesLostToFault = channel.framesLostToFault_;
-  image.framesDroppedHostDown = channel.framesDroppedHostDown_;
-  image.nodes.reserve(channel.nodes_.size());
+std::uint64_t StateAccess::channelDigest(const phy::Channel& channel) {
+  Digest d;
+  d.add(channel.framesTransmitted_);
+  d.add(channel.framesDelivered_);
+  d.add(channel.framesCorrupted_);
+  d.add(channel.framesLostToFault_);
+  d.add(channel.framesDroppedHostDown_);
+  d.add(static_cast<std::uint64_t>(channel.nodes_.size()));
   for (const auto& n : channel.nodes_) {
-    ChannelNodeImage ni;
-    ni.attached = n.attached;
-    ni.up = n.up;
-    ni.transmitting = n.transmitting;
-    ni.busyCount = n.busyCount;
-    ni.epoch = n.epoch;
-    ni.activeRxCount = static_cast<std::uint32_t>(n.activeRx.size());
-    Digest d;
+    d.add(n.attached);
+    d.add(n.up);
+    d.add(n.transmitting);
+    d.add(static_cast<std::int32_t>(n.busyCount));
+    d.add(n.epoch);
+    d.add(static_cast<std::uint64_t>(n.activeRx.size()));
     // Each reception is a slot of its transmission record, which holds the
     // frame once for all receivers.
     for (const auto* slot : n.activeRx) {
@@ -247,41 +247,68 @@ ChannelImage StateAccess::channel(const phy::Channel& channel) {
       d.add(static_cast<std::uint32_t>(slot->reason));
       d.add(slot->orphaned);
     }
-    ni.activeRxDigest = d.value();
-    image.nodes.push_back(ni);
   }
-  return image;
+  return d.value();
+}
+
+// --- traffic -----------------------------------------------------------
+
+std::uint64_t StateAccess::trafficDigest(const experiment::World& world) {
+  // The generator cursor, the resolved request schedule and churn timeline,
+  // and the world's downtime ledgers.
+  Digest d;
+  addRng(d, world.workloadRng_);
+  d.add(static_cast<std::uint64_t>(world.workloadSchedule_.size()));
+  for (const traffic::Request& q : world.workloadSchedule_) {
+    d.add(q.at);
+    d.add(q.source.value());
+    d.add(q.seq);
+  }
+  d.add(static_cast<std::uint64_t>(world.churnTimeline_.size()));
+  for (const fault::ChurnEvent& e : world.churnTimeline_) {
+    d.add(e.node.value());
+    d.add(e.at);
+    d.add(e.up);
+  }
+  d.add(static_cast<std::uint64_t>(world.downSince_.size()));
+  for (sim::TimePoint t : world.downSince_) d.add(t);
+  d.add(static_cast<std::uint64_t>(world.downAccum_.size()));
+  for (sim::Duration t : world.downAccum_) d.add(t);
+  return d.value();
 }
 
 // --- fault -------------------------------------------------------------
 
-FaultImage StateAccess::fault(const fault::LossModel* model) {
-  FaultImage image;
-  if (model == nullptr) return image;
+std::uint64_t StateAccess::faultDigest(const fault::LossModel* model) {
+  Digest d;
   if (const auto* iid = dynamic_cast<const fault::IidLoss*>(model)) {
-    image.lossKind = 1;
-    image.lossRng = rng(iid->rng_);
+    d.add(std::uint32_t{1});
+    addRng(d, iid->rng_);
   } else if (const auto* ge =
                  dynamic_cast<const fault::GilbertElliottLoss*>(model)) {
-    image.lossKind = 2;
-    image.lossRng = rng(ge->rng_);
-    image.links.reserve(ge->links_.size());
-    for (const auto& [key, link] : ge->links_) {
-      image.links.push_back(GeLinkImage{key, link.bad, rng(link.rng)});
+    d.add(std::uint32_t{2});
+    addRng(d, ge->rng_);  // the parent stream per-link chains fork from
+    std::vector<std::uint64_t> keys;  // (src << 32) | dst
+    keys.reserve(ge->links_.size());
+    for (const auto& entry : ge->links_) keys.push_back(entry.first);
+    std::sort(keys.begin(), keys.end());
+    d.add(static_cast<std::uint64_t>(keys.size()));
+    for (std::uint64_t key : keys) {
+      const auto& link = ge->links_.at(key);
+      d.add(key);
+      d.add(link.bad);
+      addRng(d, link.rng);
     }
-    std::sort(image.links.begin(), image.links.end(),
-              [](const GeLinkImage& a, const GeLinkImage& b) {
-                return a.key < b.key;
-              });
+  } else {
+    d.add(std::uint32_t{0});  // no loss model
   }
-  return image;
+  return d.value();
 }
 
 // --- metrics -----------------------------------------------------------
 
-MetricsImage StateAccess::metrics(const stats::MetricsCollector& collector,
-                                  const obs::Registry* registry) {
-  MetricsImage image;
+std::uint64_t StateAccess::metricsDigest(
+    const stats::MetricsCollector& collector, const obs::Registry* registry) {
   Digest d;
   d.add(static_cast<std::uint64_t>(collector.numHosts_));
   d.add(static_cast<std::uint64_t>(collector.order_.size()));
@@ -318,104 +345,92 @@ MetricsImage StateAccess::metrics(const stats::MetricsCollector& collector,
   }
   d.add(collector.hellosSent_);
   d.add(collector.dataFramesSent_);
-  image.statsDigest = d.value();
-  image.hellosSent = collector.hellosSent_;
-  image.dataFramesSent = collector.dataFramesSent_;
-  image.broadcastsStarted = collector.order_.size();
 
-  image.hasRegistry = registry != nullptr;
+  d.add(registry != nullptr);
   if (registry != nullptr) {
     const auto counters = static_cast<std::size_t>(obs::Counter::kCount);
-    image.counters.reserve(counters);
     for (std::size_t i = 0; i < counters; ++i) {
-      image.counters.push_back(
-          registry->counter(static_cast<obs::Counter>(i)));
+      d.add(registry->counter(static_cast<obs::Counter>(i)));
     }
     const auto gauges = static_cast<std::size_t>(obs::Gauge::kCount);
-    image.gauges.reserve(gauges);
     for (std::size_t i = 0; i < gauges; ++i) {
-      image.gauges.push_back(registry->gauge(static_cast<obs::Gauge>(i)));
+      d.add(registry->gauge(static_cast<obs::Gauge>(i)));
     }
-    Digest hd;
     const auto hists = static_cast<std::size_t>(obs::Hist::kCount);
     for (std::size_t i = 0; i < hists; ++i) {
       const stats::Histogram& h =
           registry->histogram(static_cast<obs::Hist>(i));
-      hd.add(h.count());
-      hd.add(h.sum());
-      hd.add(h.min());
-      hd.add(h.max());
+      d.add(h.count());
+      d.add(h.sum());
+      d.add(h.min());
+      d.add(h.max());
       for (std::size_t b = 0; b < stats::Histogram::kBuckets; ++b) {
-        hd.add(h.bucketCount(b));
+        d.add(h.bucketCount(b));
       }
     }
-    image.histDigest = hd.value();
   }
-  return image;
+  return d.value();
 }
 
 // --- host --------------------------------------------------------------
 
-HostImage StateAccess::host(const experiment::Host& host) {
-  HostImage image;
-  image.id = host.id_.value();
-  image.up = host.up_;
-  image.nextSeq = host.nextSeq_.value();
-  image.schemeRng = rng(host.schemeRng_);
-  image.jitterRng = rng(host.jitterRng_);
-  image.macDigest = macDigest(*host.mac_);
-  image.helloDigest = helloDigest(*host.hello_);
-  image.mobilityDigest = mobilityDigest(*host.mobility_);
-  image.table = neighborTable(host.table_);
-  image.broadcasts.reserve(host.states_.size());
+std::uint64_t StateAccess::broadcastStatesDigest(const experiment::Host& host) {
+  // One duplicate-suppression state machine per (origin, seq) broadcast.
+  std::vector<std::pair<std::uint64_t, const experiment::Host::BroadcastState*>>
+      states;
+  states.reserve(host.states_.size());
   for (const auto& [bid, state] : host.states_) {
-    BroadcastStateImage b;
-    b.origin = bid.origin.value();
-    b.seq = bid.seq.value();
-    b.phase = static_cast<std::uint8_t>(state.phase);
-    b.jitterPending = state.jitterTimer.pending();
-    b.txId = state.txId;
-    b.hasDecider = state.decider != nullptr;
-    b.deciderDigest = state.decider ? state.decider->stateDigest() : 0;
-    b.hasPacket = state.packet != nullptr;
-    b.packetDigest = state.packet ? packetDigest(*state.packet) : 0;
-    image.broadcasts.push_back(b);
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(bid.origin.value()) << 32) |
+        bid.seq.value();
+    states.emplace_back(key, &state);
   }
-  std::sort(image.broadcasts.begin(), image.broadcasts.end(),
-            [](const BroadcastStateImage& a, const BroadcastStateImage& b) {
-              return a.origin < b.origin ||
-                     (a.origin == b.origin && a.seq < b.seq);
-            });
-  return image;
+  std::sort(states.begin(), states.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  Digest d;
+  d.add(static_cast<std::uint64_t>(states.size()));
+  for (const auto& [key, state] : states) {
+    d.add(key);
+    d.add(static_cast<std::uint32_t>(state->phase));
+    d.add(state->jitterTimer.pending());
+    d.add(state->txId);
+    d.add(state->decider != nullptr);
+    d.add(state->decider ? state->decider->stateDigest() : std::uint64_t{0});
+    d.add(state->packet != nullptr);
+    d.add(state->packet ? packetDigest(*state->packet) : std::uint64_t{0});
+  }
+  return d.value();
 }
 
 // --- world -------------------------------------------------------------
 
-WorldImage StateAccess::captureWorld(const experiment::World& world) {
-  WorldImage image;
-  image.configBlob = encodeConfig(world.config_);
-  image.anchor = world.scheduler_.now();
-  image.horizon = world.horizon_;
-  image.scheduler = scheduler(world.scheduler_);
-  image.channel = channel(world.channel_);
-  image.traffic.workloadRng = rng(world.workloadRng_);
-  image.traffic.schedule.reserve(world.workloadSchedule_.size());
-  for (const traffic::Request& q : world.workloadSchedule_) {
-    image.traffic.schedule.push_back(
-        RequestImage{q.at, q.source.value(), q.seq});
+StateDigests StateAccess::digests(const experiment::World& world) {
+  StateDigests out;
+  out.reserve(6 + 9 * world.hosts_.size());
+  out.push_back({"scheduler", schedulerDigest(world.scheduler_)});
+  out.push_back({"scheduler.nextSeq", world.scheduler_.nextSeq_});
+  out.push_back({"channel", channelDigest(world.channel_)});
+  out.push_back({"traffic", trafficDigest(world)});
+  out.push_back({"fault", faultDigest(world.lossModel_.get())});
+  out.push_back({"metrics", metricsDigest(world.metrics_, obs::current())});
+  const auto rngDigest = [](const sim::Rng& rng) {
+    Digest d;
+    addRng(d, rng);
+    return d.value();
+  };
+  for (const auto& h : world.hosts_) {
+    const std::string prefix = "host " + std::to_string(h->id_.value()) + " ";
+    out.push_back({prefix + "schemeRng", rngDigest(h->schemeRng_)});
+    out.push_back({prefix + "jitterRng", rngDigest(h->jitterRng_)});
+    out.push_back({prefix + "mac", macDigest(*h->mac_)});
+    out.push_back({prefix + "hello", helloDigest(*h->hello_)});
+    out.push_back({prefix + "mobility", mobilityDigest(*h->mobility_)});
+    out.push_back({prefix + "neighborTable", neighborTableDigest(h->table_)});
+    out.push_back({prefix + "broadcastStates", broadcastStatesDigest(*h)});
+    out.push_back({prefix + "up", h->up_ ? 1u : 0u});
+    out.push_back({prefix + "nextSeq", h->nextSeq_.value()});
   }
-  image.traffic.churn.reserve(world.churnTimeline_.size());
-  for (const fault::ChurnEvent& e : world.churnTimeline_) {
-    image.traffic.churn.push_back(
-        ChurnEventImage{e.node.value(), e.at, e.up});
-  }
-  image.traffic.downSince = world.downSince_;
-  image.traffic.downAccum = world.downAccum_;
-  image.fault = fault(world.lossModel_.get());
-  image.metrics = metrics(world.metrics_, obs::current());
-  image.hosts.reserve(world.hosts_.size());
-  for (const auto& h : world.hosts_) image.hosts.push_back(host(*h));
-  return image;
+  return out;
 }
 
 // --- thresholds --------------------------------------------------------

@@ -1,5 +1,7 @@
 #include "experiment/bench_util.hpp"
 
+#include <limits>
+
 #include "util/env.hpp"
 
 namespace manet::experiment {
@@ -7,11 +9,11 @@ namespace manet::experiment {
 BenchScale benchScale(int defaultBroadcasts, int defaultReps,
                       int defaultHosts) {
   BenchScale s;
-  s.broadcasts = static_cast<int>(
-      util::envInt("REPRO_BROADCASTS", defaultBroadcasts));
-  s.repetitions = static_cast<int>(util::envInt("REPRO_REPS", defaultReps));
+  constexpr int kMax = std::numeric_limits<int>::max();
+  s.broadcasts = util::envInt("REPRO_BROADCASTS", defaultBroadcasts, 0, kMax);
+  s.repetitions = util::envInt("REPRO_REPS", defaultReps, 1, kMax);
   s.seed = static_cast<std::uint64_t>(util::envInt("REPRO_SEED", 42));
-  s.numHosts = static_cast<int>(util::envInt("REPRO_HOSTS", defaultHosts));
+  s.numHosts = util::envInt("REPRO_HOSTS", defaultHosts, 1, kMax);
   return s;
 }
 

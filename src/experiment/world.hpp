@@ -57,6 +57,9 @@ class World {
   /// The run horizon; meaningful after beginRun()/run().
   sim::TimePoint horizonTime() const { return horizon_; }
 
+  /// The current simulated time (the scheduler's clock).
+  sim::TimePoint now() const { return scheduler_.now(); }
+
   /// Swaps the rebroadcast policy mid-run (checkpoint-resume studies: run
   /// the tail of a checkpointed run under a different scheme). Broadcasts
   /// already in flight keep their old deciders — the retired policy stays
@@ -65,14 +68,16 @@ class World {
   /// scheme.
   void overrideScheme(const SchemeSpec& spec);
 
-  /// Serializes the complete world state at the current simulated time to
-  /// `path` (defined in src/ckpt). Throws ckpt::Error on I/O failure.
+  /// Writes a checkpoint of the world at the current simulated time to
+  /// `path`: its config, the anchor, and its named state digests (defined in
+  /// src/ckpt). Throws ckpt::Error on I/O failure.
   void checkpoint(const std::string& path) const;
 
   /// Rebuilds a world from a checkpoint written by checkpoint(): replays
-  /// deterministically to the anchor and verifies the replayed state matches
-  /// the stored image field-for-field (throws ckpt::Error otherwise). The
-  /// returned world is mid-run: continue it with continueUntil()/runToEnd().
+  /// deterministically to the anchor and verifies the replayed state digests
+  /// match the stored ones (throws ckpt::Error naming the differing entries
+  /// otherwise). The returned world is mid-run: continue it with
+  /// continueUntil()/runToEnd().
   static std::unique_ptr<World> resume(const std::string& path);
 
   /// Starts the periodic agents (HELLO) without scheduling any workload;

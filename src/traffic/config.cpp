@@ -1,5 +1,6 @@
 #include "traffic/config.hpp"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -10,8 +11,11 @@ namespace manet::traffic {
 
 namespace {
 
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+
 /// Parses "x0,y0,x1,y1" (map-side fractions). Returns false — leaving the
-/// zone untouched — unless exactly four comma-separated doubles parse.
+/// zone untouched — unless exactly four comma-separated doubles parse and
+/// nothing follows the fourth.
 bool parseZone(const std::string& spec, TrafficConfig& out) {
   std::istringstream in(spec);
   double v[4];
@@ -20,6 +24,7 @@ bool parseZone(const std::string& spec, TrafficConfig& out) {
     if (i > 0 && (!(in >> sep) || sep != ',')) return false;
     if (!(in >> v[i])) return false;
   }
+  if (!(in >> std::ws).eof()) return false;
   out.zoneX0 = v[0];
   out.zoneY0 = v[1];
   out.zoneX1 = v[2];
@@ -64,8 +69,8 @@ TrafficConfig TrafficConfig::withEnvOverrides() const {
       out.arrival = Arrival::kPeriodic;
     }
   }
-  out.burstLength = static_cast<int>(
-      util::envInt("MANET_TRAFFIC_BURST_LEN", out.burstLength));
+  out.burstLength =
+      util::envInt("MANET_TRAFFIC_BURST_LEN", out.burstLength, 1, kMaxInt);
   if (util::envString("MANET_TRAFFIC_BURST_GAP_S")) {
     out.burstGapMax = sim::scaleTrunc(
         sim::kSecond, util::envDouble("MANET_TRAFFIC_BURST_GAP_S",
@@ -89,10 +94,14 @@ TrafficConfig TrafficConfig::withEnvOverrides() const {
                                   "\" is not one of uniform, hotspot, zone");
     }
   }
-  out.hotspotCount = static_cast<int>(
-      util::envInt("MANET_TRAFFIC_HOTSPOT_K", out.hotspotCount));
+  out.hotspotCount =
+      util::envInt("MANET_TRAFFIC_HOTSPOT_K", out.hotspotCount, 1, kMaxInt);
   if (const auto zone = util::envString("MANET_TRAFFIC_ZONE")) {
-    parseZone(*zone, out);
+    if (!zone->empty() && !parseZone(*zone, out)) {
+      throw std::invalid_argument("MANET_TRAFFIC_ZONE=\"" + *zone +
+                                  "\" is not four comma-separated numbers "
+                                  "x0,y0,x1,y1");
+    }
   }
   return out;
 }

@@ -4,12 +4,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 namespace manet::util {
 
 namespace {
 
-[[noreturn]] void reject(const char* name, const char* raw, const char* why) {
+[[noreturn]] void reject(const char* name, const char* raw,
+                         const std::string& why) {
   throw std::invalid_argument(std::string(name) + "=\"" + raw + "\" " + why);
 }
 
@@ -24,6 +26,18 @@ std::int64_t envInt(const char* name, std::int64_t fallback) {
   if (end == raw || *end != '\0') reject(name, raw, "is not an integer");
   if (errno == ERANGE) reject(name, raw, "is out of range");
   return static_cast<std::int64_t>(value);
+}
+
+int envInt(const char* name, int fallback, int lo, int hi) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  const std::int64_t value = envInt(name, fallback);
+  if (value < lo || value > hi) {
+    reject(name, raw,
+           "is outside [" + std::to_string(lo) + ", " + std::to_string(hi) +
+               "]");
+  }
+  return static_cast<int>(value);
 }
 
 double envDouble(const char* name, double fallback) {

@@ -14,6 +14,11 @@ namespace manet::util {
 /// characters included) or is out of range.
 std::int64_t envInt(const char* name, std::int64_t fallback);
 
+/// envInt narrowed to an `int` knob: additionally throws
+/// std::invalid_argument naming the variable when a set value lies outside
+/// [lo, hi], so a value past `int` is rejected instead of wrapping.
+int envInt(const char* name, int fallback, int lo, int hi);
+
 /// Returns the double value of environment variable `name`, or `fallback`
 /// when unset or empty. Throws std::invalid_argument naming the variable
 /// and its value when the text is not a whole number or is not finite.

@@ -1,6 +1,6 @@
-// Checkpoint/replay subsystem (DESIGN.md §14): container framing, image
-// round-trips, corruption rejection, and the resume-equivalence guarantee
-// that backs the CI gate.
+// Checkpoint/replay subsystem (DESIGN.md §14): container framing, the named
+// state-digest oracle, corruption rejection, and the resume-equivalence
+// guarantee that backs the CI gate.
 #include "ckpt/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "ckpt/config_io.hpp"
-#include "ckpt/image.hpp"
 #include "ckpt/io.hpp"
 #include "ckpt/state_access.hpp"
 #include "experiment/runner.hpp"
@@ -27,7 +26,7 @@ using experiment::SchemeSpec;
 using experiment::World;
 
 // A small but fully-featured scenario: HELLO-fed adaptive counter, bursty
-// link loss, and random churn, so a capture exercises every image section.
+// link loss, and random churn, so a capture exercises every digest fold.
 ScenarioConfig smallConfig() {
   ScenarioConfig c;
   c.mapUnits = 3;
@@ -53,6 +52,16 @@ sim::TimePoint tp(double seconds) {
 
 sim::TimePoint midpointOf(const World& world) {
   return tp(sim::toSeconds(world.horizonTime()) * 0.5);
+}
+
+/// Expects two worlds to hold identical state, entry for entry, and lists
+/// the differing entries otherwise.
+void expectSameState(const World& a, const World& b) {
+  const StateDigests da = StateAccess::digests(a);
+  const StateDigests db = StateAccess::digests(b);
+  std::string diffs;
+  for (const std::string& line : diffDigests(da, db)) diffs += "\n  " + line;
+  EXPECT_TRUE(da == db) << "state diverged:" << diffs;
 }
 
 // ------------------------------------------------------------ container io
@@ -135,99 +144,87 @@ TEST(CkptIo, ContainerDetectsTruncation) {
   EXPECT_THROW(parseContainer(framed), Error);
 }
 
-// ------------------------------------------------------- image round-trips
+// ------------------------------------------------------ state digests
 
-TEST(CkptImage, RngRoundTrip) {
-  RngImage v{{1, 0xFFFFFFFFFFFFFFFFull, 3, 4}};
-  Writer w;
-  encode(w, v);
-  Reader r(w.bytes());
-  EXPECT_EQ(decodeRng(r), v);
-}
-
-TEST(CkptImage, SchedulerRoundTrip) {
-  SchedulerImage v;
-  v.now = tp(3.5);
-  v.nextSeq = 99;
-  v.liveCount = 2;
-  v.slotCount = 64;
-  v.pending = {{tp(3.5), 7}, {tp(4.0), 8}};
-  Writer w;
-  encode(w, v);
-  Reader r(w.bytes());
-  EXPECT_EQ(decodeScheduler(r), v);
-}
-
-TEST(CkptImage, NeighborTableRoundTrip) {
-  NeighborTableImage v;
-  v.entries = {{3, tp(1.0), sim::kSecond, {1, 9}},
-               {8, tp(2.0), 2 * sim::kSecond, {}}};
-  v.changes = {tp(0.5), tp(1.5)};
-  Writer w;
-  encode(w, v);
-  Reader r(w.bytes());
-  EXPECT_EQ(decodeNeighborTable(r), v);
-}
-
-TEST(CkptImage, HostRoundTripWithDuplicateState) {
-  HostImage v;
-  v.id = 17;
-  v.up = false;
-  v.nextSeq = 5;
-  v.schemeRng = {{1, 2, 3, 4}};
-  v.jitterRng = {{5, 6, 7, 8}};
-  v.macDigest = 0x1111;
-  v.helloDigest = 0x2222;
-  v.mobilityDigest = 0x3333;
-  v.table.entries = {{2, tp(1.0), sim::kSecond, {17}}};
-  BroadcastStateImage b;
-  b.origin = 4;
-  b.seq = 9;
-  b.phase = 2;
-  b.jitterPending = true;
-  b.txId = 77;
-  b.hasDecider = true;
-  b.deciderDigest = 0xABCD;
-  b.hasPacket = true;
-  b.packetDigest = 0xEF01;
-  v.broadcasts = {b};
-  Writer w;
-  encode(w, v);
-  Reader r(w.bytes());
-  EXPECT_EQ(decodeHost(r), v);
-}
-
-TEST(CkptImage, FaultRoundTripWithGilbertElliottChains) {
-  FaultImage v;
-  v.lossKind = 2;
-  v.lossRng = {{9, 8, 7, 6}};
-  v.links = {{(1ull << 32) | 2, true, {{1, 1, 1, 1}}},
-             {(3ull << 32) | 4, false, {{2, 2, 2, 2}}}};
-  Writer w;
-  encode(w, v);
-  Reader r(w.bytes());
-  EXPECT_EQ(decodeFault(r), v);
-}
-
-TEST(CkptImage, WorldImageContainerRoundTripAndDiff) {
-  // Capture a real mid-run world rather than hand-building every field.
+TEST(CkptDigest, DigestListCoversWorldAndEveryHostComponent) {
   World world(smallConfig());
   world.beginRun();
   world.continueUntil(midpointOf(world));
-  const WorldImage image = StateAccess::captureWorld(world);
-  EXPECT_FALSE(image.hosts.empty());
-  EXPECT_FALSE(image.scheduler.pending.empty());
-  EXPECT_EQ(image.fault.lossKind, 2);  // Gilbert-Elliott chains captured
-  EXPECT_FALSE(image.traffic.schedule.empty());
+  const StateDigests digests = StateAccess::digests(world);
+  ASSERT_EQ(digests.size(), 6u + 9u * world.hostCount());
+  EXPECT_EQ(digests[0].name, "scheduler");
+  EXPECT_EQ(digests[1].name, "scheduler.nextSeq");
+  EXPECT_GT(digests[1].value, 0u);  // raw event count, not a digest
+  EXPECT_EQ(digests[6].name, "host 0 schemeRng");
+  EXPECT_EQ(digests.back().name,
+            "host " + std::to_string(world.hostCount() - 1) + " nextSeq");
+  EXPECT_EQ(decodeDigests(encodeDigests(digests)), digests);
+}
 
-  WorldImage decoded = decodeWorldImage(encodeWorldImage(image));
-  EXPECT_EQ(decoded, image);
-  EXPECT_TRUE(diffWorldImages(image, decoded).empty());
+TEST(CkptDigest, DiffGroupsHostComponentsAndCapsItsLines) {
+  StateDigests stored{{"scheduler", 1}, {"channel", 2}};
+  for (int h = 0; h < 40; ++h) {
+    const std::string prefix = "host " + std::to_string(h) + " ";
+    stored.push_back({prefix + "mac", 3});
+    stored.push_back({prefix + "hello", 4});
+    stored.push_back({prefix + "up", 1});
+  }
+  EXPECT_TRUE(diffDigests(stored, stored).empty());
 
-  decoded.hosts[0].nextSeq ^= 1;
-  decoded.scheduler.nextSeq ^= 1;
-  const auto diffs = diffWorldImages(image, decoded);
-  ASSERT_GE(diffs.size(), 2u);  // one line per mismatched subsystem
+  StateDigests replayed = stored;
+  replayed[1].value ^= 1;  // channel
+  replayed[2].value ^= 1;  // host 0 mac
+  replayed[4].value ^= 1;  // host 0 up
+  std::vector<std::string> diffs = diffDigests(stored, replayed);
+  ASSERT_EQ(diffs.size(), 2u);
+  EXPECT_EQ(diffs[0], "channel differs (2 vs 3)");
+  EXPECT_EQ(diffs[1], "host 0: mac up");
+
+  replayed = stored;
+  for (NamedDigest& entry : replayed) entry.value ^= 1;
+  diffs = diffDigests(stored, replayed);
+  ASSERT_EQ(diffs.size(), 33u);  // 32 lines, then the suppression note
+  EXPECT_EQ(diffs[2], "host 0: mac hello up");
+  EXPECT_NE(diffs.back().find("suppressed"), std::string::npos);
+
+  replayed = stored;
+  replayed.pop_back();
+  diffs = diffDigests(stored, replayed);
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_NE(diffs[0].find("digest count"), std::string::npos);
+}
+
+TEST(CkptDigest, ResumeNamesEveryTamperedDigest) {
+  World prefix(smallConfig());
+  prefix.beginRun();
+  prefix.continueUntil(midpointOf(prefix));
+  std::vector<Section> sections = parseContainer(capture(prefix));
+  int flipped = 0;
+  for (Section& section : sections) {
+    if (section.tag != "DGST") continue;
+    StateDigests digests = decodeDigests(section.payload);
+    for (NamedDigest& entry : digests) {
+      if (entry.name == "host 3 mac" || entry.name == "scheduler.nextSeq") {
+        entry.value ^= 1;
+        ++flipped;
+      }
+    }
+    section.payload = encodeDigests(digests);
+  }
+  ASSERT_EQ(flipped, 2);
+  // Re-framed, so every section checksum is valid: only the oracle can
+  // catch the tampering.
+  try {
+    resume(frameContainer(sections));
+    FAIL() << "tampered digests accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("scheduler.nextSeq differs"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("host 3: mac"), std::string::npos) << what;
+    EXPECT_EQ(what.find("host 3: mac "), std::string::npos) << what;
+    EXPECT_EQ(what.find("host 2"), std::string::npos) << what;
+  }
 }
 
 TEST(CkptConfig, ResolvedConfigRoundTripsByteExact) {
@@ -358,6 +355,15 @@ TEST(Ckpt, ResumeRejectsBlobWithInvalidCarrierSenseDelay) {
                     "phy.carrierSenseDelay");
 }
 
+TEST(CkptDigest, ResumeRejectsBlobMissingTheDigestSection) {
+  World prefix(smallConfig());
+  prefix.beginRun();
+  prefix.continueUntil(midpointOf(prefix));
+  std::vector<Section> sections = parseContainer(capture(prefix));
+  std::erase_if(sections, [](const Section& s) { return s.tag == "DGST"; });
+  expectErrorNaming([&] { resume(frameContainer(sections)); }, "DGST");
+}
+
 // ------------------------------------------------- resume equivalence core
 
 TEST(Ckpt, CaptureIsSideEffectFreeAndSplitRunMatchesStraight) {
@@ -372,8 +378,7 @@ TEST(Ckpt, CaptureIsSideEffectFreeAndSplitRunMatchesStraight) {
   EXPECT_FALSE(blob.empty());
   split.runToEnd();
 
-  EXPECT_EQ(StateAccess::captureWorld(split),
-            StateAccess::captureWorld(straight));
+  expectSameState(split, straight);
 }
 
 TEST(Ckpt, ResumedTailMatchesStraightThrough) {
@@ -386,15 +391,11 @@ TEST(Ckpt, ResumedTailMatchesStraightThrough) {
   prefix.continueUntil(midpointOf(prefix));
   const auto blob = capture(prefix);
 
-  Resumed resumed = resume(blob);
-  ASSERT_NE(resumed.world, nullptr);
-  EXPECT_EQ(resumed.image.anchor, midpointOf(prefix));
-  resumed.world->runToEnd();
-
-  const auto diffs = diffWorldImages(StateAccess::captureWorld(*resumed.world),
-                                     StateAccess::captureWorld(straight));
-  EXPECT_TRUE(diffs.empty()) << diffs.size() << " subsystem(s) diverged, e.g. "
-                             << diffs.front();
+  std::unique_ptr<World> resumed = resume(blob);
+  ASSERT_NE(resumed, nullptr);
+  EXPECT_EQ(resumed->now(), midpointOf(prefix));
+  resumed->runToEnd();
+  expectSameState(*resumed, straight);
 }
 
 TEST(Ckpt, ResumeRejectsCorruptedBlob) {
@@ -435,8 +436,7 @@ TEST(Ckpt, WorldCheckpointFileRoundTrip) {
   std::unique_ptr<World> resumed = World::resume(path);
   ASSERT_NE(resumed, nullptr);
   resumed->runToEnd();
-  EXPECT_EQ(StateAccess::captureWorld(*resumed),
-            StateAccess::captureWorld(straight));
+  expectSameState(*resumed, straight);
   std::remove(path.c_str());
 }
 
@@ -465,8 +465,7 @@ TEST(Ckpt, RunCheckpointCycleMatchesStraightWorld) {
 
   World reference(config);
   reference.run();
-  EXPECT_EQ(StateAccess::captureWorld(*cycled),
-            StateAccess::captureWorld(reference));
+  expectSameState(*cycled, reference);
 }
 
 TEST(Ckpt, AveragedSweepIdenticalUnderCycleOverrideAcrossThreads) {
@@ -500,19 +499,25 @@ TEST(Ckpt, AveragedSweepIdenticalUnderCycleOverrideAcrossThreads) {
 }
 
 TEST(Ckpt, SchemeOverrideTailRunsToHorizon) {
+  World straight(smallConfig());
+  straight.run();
+
   World prefix(smallConfig());
   prefix.beginRun();
   prefix.continueUntil(midpointOf(prefix));
   const auto blob = capture(prefix);
 
-  Resumed resumed = resume(blob);
-  resumed.world->overrideScheme(SchemeSpec::flooding());
-  resumed.world->runToEnd();
-  const WorldImage end = StateAccess::captureWorld(*resumed.world);
-  EXPECT_EQ(end.anchor, resumed.world->horizonTime());
+  std::unique_ptr<World> resumed = resume(blob);
+  resumed->overrideScheme(SchemeSpec::flooding());
+  resumed->runToEnd();
+  EXPECT_EQ(resumed->now(), resumed->horizonTime());
   // The tail ran under the new policy without disturbing in-flight
   // broadcasts; the run still completes every scheduled request.
-  EXPECT_EQ(end.traffic.schedule.size(), 10u);
+  EXPECT_EQ(resumed->workloadSchedule().size(), 10u);
+  EXPECT_EQ(resumed->horizonTime(), straight.horizonTime());
+  // Flooding's tail leaves a different world than the adaptive counter's.
+  const StateDigests tail = StateAccess::digests(*resumed);
+  EXPECT_FALSE(tail == StateAccess::digests(straight));
 }
 
 // ---------------------------------------------------------- CLI spec parsing

@@ -385,6 +385,20 @@ TEST(TrafficConfigEnv, RejectsMalformedNumbers) {
   expectTrafficKnobRejected("MANET_TRAFFIC_IDLE_S", "inf");
 }
 
+TEST(TrafficConfigEnv, RejectsIntKnobsOutsideInt) {
+  // 2^32 + 12 used to wrap to 12 through a static_cast<int>.
+  expectTrafficKnobRejected("MANET_TRAFFIC_BURST_LEN", "4294967308");
+  expectTrafficKnobRejected("MANET_TRAFFIC_HOTSPOT_K", "4294967301");
+}
+
+TEST(TrafficConfigEnv, RejectsMalformedZone) {
+  ::setenv("MANET_TRAFFIC_SOURCES", "zone", 1);
+  expectTrafficKnobRejected("MANET_TRAFFIC_ZONE", "0.1,0.2");
+  expectTrafficKnobRejected("MANET_TRAFFIC_ZONE", "0.1,0.2,0.3,0.4junk");
+  expectTrafficKnobRejected("MANET_TRAFFIC_ZONE", "0.1,0.2,0.3,0.4,0.5");
+  ::unsetenv("MANET_TRAFFIC_SOURCES");
+}
+
 TEST(TrafficConfigEnv, ZoneParsesFourFractions) {
   ::setenv("MANET_TRAFFIC_SOURCES", "zone", 1);
   ::setenv("MANET_TRAFFIC_ZONE", "0.25,0.5,0.75,1.0", 1);

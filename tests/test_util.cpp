@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -121,6 +122,25 @@ TEST(Env, RejectsMalformedIntegersNamingTheVariable) {
   expectRejected("MANET_TEST_ENV_I", "not-a-number", read);
   expectRejected("MANET_TEST_ENV_I", "99999999999999999999", read);
   expectRejected("MANET_TEST_ENV_I", "-99999999999999999999", read);
+}
+
+TEST(Env, RangedIntRejectsValuesOutsideIntNamingTheVariable) {
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const auto read = [] { envInt("MANET_TEST_ENV_R", 42, kMin, kMax); };
+  // 2^32 + 2 used to wrap to 2 through a static_cast<int>.
+  expectRejected("MANET_TEST_ENV_R", "4294967298", read);
+  expectRejected("MANET_TEST_ENV_R", "2147483648", read);
+  expectRejected("MANET_TEST_ENV_R", "-2147483649", read);
+  expectRejected("MANET_TEST_ENV_R", "12x", read);
+  setenv("MANET_TEST_ENV_R", "2147483647", 1);
+  EXPECT_EQ(envInt("MANET_TEST_ENV_R", 42, kMin, kMax), kMax);
+  unsetenv("MANET_TEST_ENV_R");
+  EXPECT_EQ(envInt("MANET_TEST_ENV_R", 42, kMin, kMax), 42);
+
+  const auto readPositive = [] { envInt("MANET_TEST_ENV_R", 42, 1, 100); };
+  expectRejected("MANET_TEST_ENV_R", "0", readPositive);
+  expectRejected("MANET_TEST_ENV_R", "101", readPositive);
 }
 
 TEST(Env, RejectsMalformedOrNonFiniteDoublesNamingTheVariable) {

@@ -3,10 +3,9 @@
 
 Walks the TLV container with nothing but the tag table: verifies the magic,
 the format version, and every per-section FNV-1a payload digest, then prints
-a section listing with sizes. The META section (anchor/horizon tick pair) and
-the HOST section's count prefix are decoded and pretty-printed; everything
-else is reported by tag, length, and digest status only — the binary layouts
-live in src/ckpt/image.cpp and this tool deliberately does not mirror them.
+a section listing with sizes. META (anchor, horizon, registry flag) and the
+DGST state-digest list (entry count and names) are decoded and printed; the
+CFG0 config blob is reported by length and digest status only.
 
 Usage: ckpt_inspect.py FILE.mckpt [FILE2.mckpt ...]
 Exit status: 0 all files well-formed, 1 any corruption/mismatch, 2 usage.
@@ -18,27 +17,47 @@ import struct
 import sys
 
 MAGIC = b"MCKPT1\n"
-FORMAT_VERSION = 1  # src/ckpt/io.hpp kFormatVersion
+FORMAT_VERSION = 2  # src/ckpt/io.hpp kFormatVersion
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
 FNV_MASK = (1 << 64) - 1
 
-# Known section tags, in encoder order (src/ckpt/image.cpp). An unknown tag
+# Known section tags, in encoder order (src/ckpt/checkpoint.cpp). An unknown tag
 # is listed as `unknown(tag, len)` but is NOT a problem: the container is
 # designed for forward-compatible appends (a newer encoder may add sections
 # this tool predates), and its digest is still verified. Only a *missing*
 # known section or a digest mismatch fails the exit status.
 KNOWN_TAGS = {
     "CFG0": "resolved ScenarioConfig",
-    "META": "anchor/horizon timestamps",
-    "SCHD": "scheduler heap image",
-    "CHAN": "channel counters + per-node state",
-    "TRAF": "traffic cursor, schedule, churn ledgers",
-    "FALT": "fault-injection chains",
-    "STAT": "metrics collector + obs registry",
-    "HOST": "per-host protocol state",
+    "META": "anchor, horizon, metrics-registry flag",
+    "DGST": "named per-subsystem state digests",
 }
+
+# META payload: anchor and horizon ticks (i64 each), then a bool byte.
+META_FORMAT = "<qq?"
+
+
+def decode_digests(payload: bytes) -> list[tuple[str, int]]:
+    """Decodes a DGST payload: u64 count, then per entry a u64-length name
+    and a u64 value. Raises ValueError on a malformed payload."""
+    (count,) = struct.unpack_from("<Q", payload, 0)
+    pos = 8
+    entries = []
+    for _ in range(count):
+        if len(payload) - pos < 8:
+            raise ValueError(f"truncated at entry {len(entries)}")
+        (length,) = struct.unpack_from("<Q", payload, pos)
+        pos += 8
+        if len(payload) - pos < length + 8:
+            raise ValueError(f"truncated at entry {len(entries)}")
+        name = payload[pos : pos + length].decode("utf-8", errors="replace")
+        (value,) = struct.unpack_from("<Q", payload, pos + length)
+        pos += length + 8
+        entries.append((name, value))
+    if pos != len(payload):
+        raise ValueError(f"{len(payload) - pos} trailing bytes")
+    return entries
 
 
 def fnv1a(payload: bytes) -> int:
@@ -108,19 +127,35 @@ def inspect(path: str) -> int:
         sections[tag] = payload
 
     meta = sections.get("META")
-    if meta is not None and len(meta) == 16:
-        anchor, horizon = struct.unpack("<qq", meta)
+    meta_size = struct.calcsize(META_FORMAT)
+    if meta is not None and len(meta) == meta_size:
+        anchor, horizon, registry = struct.unpack(META_FORMAT, meta)
         print(
             f"  anchor t={ticks_to_seconds(anchor):.6f}s of "
-            f"{ticks_to_seconds(horizon):.6f}s horizon"
+            f"{ticks_to_seconds(horizon):.6f}s horizon, "
+            f"metrics registry {'on' if registry else 'off'}"
         )
     elif meta is not None:
-        print(f"  META payload has {len(meta)} bytes (want 16)")
+        print(f"  META payload has {len(meta)} bytes (want {meta_size})")
         problems += 1
-    host = sections.get("HOST")
-    if host is not None and len(host) >= 8:
-        (count,) = struct.unpack_from("<Q", host, 0)
-        print(f"  hosts: {count}")
+    digests = sections.get("DGST")
+    if digests is not None:
+        try:
+            entries = decode_digests(digests)
+        except (ValueError, struct.error) as e:
+            print(f"  DGST malformed: {e}")
+            problems += 1
+        else:
+            # Host entries are "host <id> <component>"; dicts keep order.
+            world = [name for name, _ in entries if not name.startswith("host ")]
+            host_names = [name.rsplit(" ", 1) for name, _ in entries
+                          if name.startswith("host ")]
+            hosts = dict.fromkeys(host for host, _ in host_names)
+            components = dict.fromkeys(part for _, part in host_names)
+            print(f"  digests: {len(entries)} entries")
+            print(f"    world: {', '.join(world)}")
+            if hosts:
+                print(f"    {len(hosts)} hosts x {', '.join(components)}")
     missing = sorted(set(KNOWN_TAGS) - set(sections))
     if missing:
         print(f"  MISSING sections: {', '.join(missing)}")
