@@ -1,10 +1,13 @@
 #include "ckpt/checkpoint.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -12,6 +15,7 @@
 #include "ckpt/config_io.hpp"
 #include "ckpt/digest.hpp"
 #include "ckpt/state_access.hpp"
+#include "experiment/config_schema.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/world.hpp"
 #include "obs/metrics.hpp"
@@ -190,15 +194,16 @@ AnchorSpec parseAnchorSpec(const std::string& text) {
     if (text.back() == '%') {
       spec.fraction = std::stod(text.substr(0, text.size() - 1), &used) /
                       100.0;
-      if (used != text.size() - 1) throw Error("");
-      if (spec.fraction < 0.0 || spec.fraction > 1.0) {
+      if (used != text.size() - 1) throw std::invalid_argument(text);
+      if (!(spec.fraction >= 0.0 && spec.fraction <= 1.0)) {
         throw Error("checkpoint anchor percentage out of [0, 100]: " + text);
       }
     } else {
       spec.seconds = std::stod(text, &used);
-      if (used != text.size()) throw Error("");
-      if (spec.seconds < 0.0) {
-        throw Error("checkpoint anchor seconds must be >= 0: " + text);
+      if (used != text.size()) throw std::invalid_argument(text);
+      if (!(spec.seconds >= 0.0 && std::isfinite(spec.seconds))) {
+        throw Error("checkpoint anchor seconds must be finite and >= 0: " +
+                    text);
       }
     }
   } catch (const Error&) {
@@ -266,28 +271,47 @@ experiment::SchemeSpec parseSchemeOverride(const std::string& text) {
   if (text == "ac") return SchemeSpec::adaptiveCounter();
   if (text == "al") return SchemeSpec::adaptiveLocation();
   if (text == "cluster") return SchemeSpec::clusterBased();
+  std::optional<SchemeSpec> scheme;
   if (text.size() > 2 && text[1] == '=') {
     try {
+      // The number must be the whole rest of the text.
       const std::string value = text.substr(2);
+      std::size_t used = 0;
       switch (text[0]) {
         case 'p':
-          return SchemeSpec::probabilistic(std::stod(value));
+          scheme = SchemeSpec::probabilistic(std::stod(value, &used));
+          break;
         case 'c':
-          return SchemeSpec::counter(std::stoi(value));
+          scheme = SchemeSpec::counter(std::stoi(value, &used));
+          break;
         case 'd':
-          return SchemeSpec::distance(std::stod(value));
+          scheme = SchemeSpec::distance(std::stod(value, &used));
+          break;
         case 'a':
-          return SchemeSpec::location(std::stod(value));
+          scheme = SchemeSpec::location(std::stod(value, &used));
+          break;
         default:
           break;
       }
+      if (used != value.size()) scheme.reset();
     } catch (const std::exception&) {
       // fall through to the unified error below
     }
   }
-  throw Error(
-      "bad MANET_CKPT_SCHEME '" + text +
-      "' (want flooding|nc|ac|al|cluster|p=<prob>|c=<n>|d=<m>|a=<frac>)");
+  if (!scheme) {
+    throw Error(
+        "bad MANET_CKPT_SCHEME '" + text +
+        "' (want flooding|nc|ac|al|cluster|p=<prob>|c=<n>|d=<m>|a=<frac>)");
+  }
+  // The scheme fields' domains, checked in a default config.
+  experiment::ScenarioConfig config;
+  config.scheme = *scheme;
+  try {
+    experiment::validate(config);
+  } catch (const std::invalid_argument& e) {
+    throw Error("bad MANET_CKPT_SCHEME '" + text + "': " + e.what());
+  }
+  return *scheme;
 }
 
 bool configureFromCli(int argc, char** argv, const std::string& benchName) {

@@ -81,7 +81,8 @@ std::unique_ptr<experiment::World> runCheckpointCycle(
 /// Parses a MANET_CKPT_SCHEME override spec:
 ///   flooding | nc | ac | al | cluster | p=<prob> | c=<counter> |
 ///   d=<meters> | a=<fraction>
-/// Throws Error on anything else.
+/// Throws Error on anything else, on trailing text after the number, and
+/// on a number outside the scheme field's domain (validate()).
 experiment::SchemeSpec parseSchemeOverride(const std::string& text);
 
 /// Bench wiring, called by bench::Report before any sweep runs:

@@ -1,312 +1,172 @@
 #include "ckpt/config_io.hpp"
 
+#include <climits>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "ckpt/io.hpp"
-#include "ckpt/state_access.hpp"
-#include "core/threshold.hpp"
+#include "experiment/config_schema.hpp"
 
 namespace manet::ckpt {
 namespace {
 
+using experiment::Domain;
 using experiment::ScenarioConfig;
-using experiment::SchemeSpec;
 
-void encodeVec2(Writer& w, geom::Vec2 v) {
-  w.f64(v.x);
-  w.f64(v.y);
+// One io() per field type serves both directions: `Out` writes each
+// primitive, `In` reads it back into the same reference. Decoding checks
+// only what the representation requires (counts that fit the payload, ints
+// that fit an int, thresholds their constructors accept); the field domains
+// are validate()'s.
+
+struct Out {
+  Writer& w;
+  void u8(std::uint8_t& v) { w.u8(v); }
+  void u32(std::uint32_t& v) { w.u32(v); }
+  void u64(std::uint64_t& v) { w.u64(v); }
+  void i64(std::int64_t& v) { w.i64(v); }
+  void f64(double& v) { w.f64(v); }
+  void str(std::string& v) { w.str(v); }
+};
+
+struct In {
+  Reader& r;
+  void u8(std::uint8_t& v) { v = r.u8(); }
+  void u32(std::uint32_t& v) { v = r.u32(); }
+  void u64(std::uint64_t& v) { v = r.u64(); }
+  void i64(std::int64_t& v) { v = r.i64(); }
+  void f64(double& v) { v = r.f64(); }
+  void str(std::string& v) { v = r.str(); }
+};
+
+[[noreturn]] void fail(const char* field, const std::string& why) {
+  throw Error(std::string("config ") + field + " " + why);
 }
 
-geom::Vec2 decodeVec2(Reader& r) {
-  geom::Vec2 v;
-  v.x = r.f64();
-  v.y = r.f64();
-  return v;
-}
-
-/// Reads an enum byte and rejects any value past `last`, the enum's final
-/// enumerator, by field name.
-template <typename Enum>
-Enum decodeEnum(Reader& r, Enum last, const char* field) {
-  const std::uint8_t raw = r.u8();
-  if (raw > static_cast<std::uint8_t>(last)) {
-    throw Error(std::string("config ") + field + " byte " +
-                std::to_string(raw) + " names no enumerator");
+template <class IO, class T>
+void io(IO& s, T& v, const char* field) {
+  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    auto raw = static_cast<std::uint8_t>(v);
+    s.u8(raw);
+    v = static_cast<T>(raw);
+  } else if constexpr (std::is_same_v<T, int>) {
+    std::int64_t raw = v;
+    s.i64(raw);
+    if (raw < INT_MIN || raw > INT_MAX) {
+      fail(field, std::to_string(raw) + " does not fit an int");
+    }
+    v = static_cast<int>(raw);
+  } else if constexpr (std::is_same_v<T, sim::Duration> ||
+                       std::is_same_v<T, sim::TimePoint>) {
+    std::int64_t ticks = v.ticks();
+    s.i64(ticks);
+    v = T{ticks};
+  } else if constexpr (std::is_same_v<T, net::HostId>) {
+    std::uint32_t raw = v.value();
+    s.u32(raw);
+    v = T{raw};
+  } else if constexpr (std::is_unsigned_v<T> && sizeof(T) == 8) {
+    std::uint64_t raw = v;
+    s.u64(raw);
+    v = raw;
+  } else if constexpr (std::is_same_v<T, double>) {
+    s.f64(v);
+  } else {
+    static_assert(std::is_same_v<T, std::string>, "no CFG0 encoding");
+    s.str(v);
   }
-  return static_cast<Enum>(raw);
 }
 
-void requireProbability(double p, const char* field) {
-  if (!(p >= 0.0 && p <= 1.0)) {
-    throw Error(std::string("config ") + field + " " + std::to_string(p) +
-                " must lie in [0, 1]");
+template <class IO>
+void io(IO& s, geom::Vec2& p, const char* field) {
+  io(s, p.x, field);
+  io(s, p.y, field);
+}
+
+template <class IO>
+void io(IO& s, traffic::Request& q, const char* field) {
+  io(s, q.at, field);
+  io(s, q.source, field);
+  s.u32(q.seq);
+}
+
+template <class IO>
+void io(IO& s, fault::ChurnEvent& e, const char* field) {
+  io(s, e.node, field);
+  io(s, e.at, field);
+  io(s, e.up, field);
+}
+
+template <class IO, class E>
+void io(IO& s, std::vector<E>& items, const char* field) {
+  std::uint64_t n = items.size();
+  s.u64(n);
+  if constexpr (std::is_same_v<IO, In>) {
+    if (n > s.r.remaining()) {
+      fail(field, "count " + std::to_string(n) + " is implausible");
+    }
+    items.resize(static_cast<std::size_t>(n));
   }
+  for (E& item : items) io(s, item, field);
 }
 
-void requireAtLeastOne(int value, const char* field) {
-  if (value < 1) {
-    throw Error(std::string("config ") + field + " " +
-                std::to_string(value) + " must be at least 1");
+template <class IO>
+void io(IO& s, core::CounterThreshold& fn, const char* field) {
+  std::vector<int> values = fn.values();
+  io(s, values, field);
+  if (!core::CounterThreshold::validValues(values)) {
+    fail(field, "values must be a non-empty list of counts >= 1");
   }
+  fn = core::CounterThreshold(std::move(values));
 }
 
-std::uint64_t countGuard(Reader& r, const char* what) {
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining()) {
-    throw Error(std::string("implausible config ") + what + " count " +
-                std::to_string(n));
+template <class IO>
+void io(IO& s, core::AreaThreshold& fn, const char* field) {
+  double low = fn.low();
+  double high = fn.high();
+  int n1 = fn.n1();
+  int n2 = fn.n2();
+  io(s, low, field);
+  io(s, high, field);
+  io(s, n1, field);
+  io(s, n2, field);
+  if (!core::AreaThreshold::valid(low, high, n1, n2)) {
+    fail(field, "needs 0 <= low <= high and n1 <= n2");
   }
-  return n;
+  fn = core::AreaThreshold(low, high, n1, n2);
 }
 
-void encodeScheme(Writer& w, const SchemeSpec& s) {
-  w.u8(static_cast<std::uint8_t>(s.type));
-  w.f64(s.probability);
-  w.i64(s.counterC);
-  w.f64(s.distanceD);
-  w.f64(s.areaA);
-  const std::vector<int>& cv = StateAccess::counterValues(s.counterFn);
-  w.u64(cv.size());
-  for (int v : cv) w.i64(v);
-  double low = 0.0;
-  double high = 0.0;
-  int n1 = 0;
-  int n2 = 0;
-  StateAccess::areaFields(s.areaFn, low, high, n1, n2);
-  w.f64(low);
-  w.f64(high);
-  w.i64(n1);
-  w.i64(n2);
-  w.i64(s.clusterInnerCounter);
-  w.str(s.label);
-}
-
-SchemeSpec decodeScheme(Reader& r) {
-  SchemeSpec s;
-  s.type = decodeEnum(r, SchemeSpec::Type::kCluster, "scheme.type");
-  s.probability = r.f64();
-  s.counterC = static_cast<int>(r.i64());
-  s.distanceD = r.f64();
-  s.areaA = r.f64();
-  std::vector<int> cv(countGuard(r, "counter threshold"));
-  for (int& v : cv) v = static_cast<int>(r.i64());
-  s.counterFn = StateAccess::makeCounterThreshold(std::move(cv));
-  const double low = r.f64();
-  const double high = r.f64();
-  const int n1 = static_cast<int>(r.i64());
-  const int n2 = static_cast<int>(r.i64());
-  s.areaFn = StateAccess::makeAreaThreshold(low, high, n1, n2);
-  s.clusterInnerCounter = static_cast<int>(r.i64());
-  s.label = r.str();
-  return s;
+template <class IO>
+void ioFields(IO& s, ScenarioConfig& c) {
+  auto each = [&s](const char* name, auto& field, const Domain&) {
+    io(s, field, name);
+  };
+  experiment::visitFields(c, each);
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> encodeConfig(const ScenarioConfig& c) {
   Writer w;
-  // topology
-  w.i64(c.mapUnits);
-  w.f64(c.unitMeters);
-  w.i64(c.numHosts);
-  w.f64(c.maxSpeedKmh);
-  w.u64(c.fixedPositions.size());
-  for (geom::Vec2 p : c.fixedPositions) encodeVec2(w, p);
-  w.u8(static_cast<std::uint8_t>(c.mobility));
-  w.i64(c.groupSize);
-  w.f64(c.groupSpanMeters);
-  // scheme
-  encodeScheme(w, c.scheme);
-  w.u8(static_cast<std::uint8_t>(c.neighborSource));
-  w.boolean(c.hello.enabled);
-  w.duration(c.hello.interval);
-  w.boolean(c.hello.dynamic);
-  w.duration(c.hello.intervalMin);
-  w.duration(c.hello.intervalMax);
-  w.f64(c.hello.nvMax);
-  w.boolean(c.hello.piggybackNeighbors);
-  w.u64(c.hello.baseBytes);
-  w.u64(c.hello.perNeighborBytes);
-  w.duration(c.hello.startJitter);
-  w.f64(c.hello.periodJitterFraction);
-  // workload
-  w.i64(c.numBroadcasts);
-  w.duration(c.interarrivalMax);
-  w.u8(static_cast<std::uint8_t>(c.traffic.arrival));
-  w.f64(c.traffic.poissonRatePerSecond);
-  w.duration(c.traffic.period);
-  w.i64(c.traffic.burstLength);
-  w.duration(c.traffic.burstGapMax);
-  w.duration(c.traffic.burstIdleMean);
-  w.u64(c.traffic.replay.size());
-  for (const traffic::Request& q : c.traffic.replay) {
-    w.time(q.at);
-    w.u32(q.source.value());
-    w.u32(q.seq);
-  }
-  w.u8(static_cast<std::uint8_t>(c.traffic.sources));
-  w.i64(c.traffic.hotspotCount);
-  w.u64(c.traffic.hotspotIds.size());
-  for (net::HostId id : c.traffic.hotspotIds) w.u32(id.value());
-  w.f64(c.traffic.zoneX0);
-  w.f64(c.traffic.zoneY0);
-  w.f64(c.traffic.zoneX1);
-  w.f64(c.traffic.zoneY1);
-  w.duration(c.warmup);
-  w.duration(c.drain);
-  // protocol details
-  w.f64(c.phy.radiusMeters);
-  w.f64(c.phy.bitRateBps);
-  w.duration(c.phy.plcpPreamble);
-  w.duration(c.phy.plcpHeader);
-  w.duration(c.phy.carrierSenseDelay);
-  w.duration(c.mac.slot);
-  w.duration(c.mac.sifs);
-  w.duration(c.mac.difs);
-  w.i64(c.mac.cwBroadcast);
-  w.i64(c.mac.cwMin);
-  w.i64(c.mac.cwMax);
-  w.i64(c.mac.retryLimit);
-  w.u64(c.mac.rtsThresholdBytes);
-  w.i64(c.jitterSlots);
-  w.boolean(c.collisions);
-  w.boolean(c.channelGrid);
-  // fault
-  w.u8(static_cast<std::uint8_t>(c.fault.loss));
-  w.f64(c.fault.per);
-  w.f64(c.fault.geLossGood);
-  w.f64(c.fault.geLossBad);
-  w.f64(c.fault.geGoodToBad);
-  w.f64(c.fault.geBadToGood);
-  w.boolean(c.fault.churn);
-  w.f64(c.fault.churnFraction);
-  w.duration(c.fault.meanUpTime);
-  w.duration(c.fault.meanDownTime);
-  w.u64(c.fault.script.size());
-  for (const fault::ChurnEvent& e : c.fault.script) {
-    w.u32(e.node.value());
-    w.time(e.at);
-    w.boolean(e.up);
-  }
-  w.u64(c.seed);
+  Out out{w};
+  ScenarioConfig copy = c;  // io() takes every field by reference
+  ioFields(out, copy);
   return w.take();
 }
 
-experiment::ScenarioConfig decodeConfig(const std::vector<std::uint8_t>& b) {
+ScenarioConfig decodeConfig(const std::vector<std::uint8_t>& b) {
   Reader r(b);
+  In in{r};
   ScenarioConfig c;
-  c.mapUnits = static_cast<int>(r.i64());
-  c.unitMeters = r.f64();
-  c.numHosts = static_cast<int>(r.i64());
-  c.maxSpeedKmh = r.f64();
-  c.fixedPositions.resize(countGuard(r, "fixed position"));
-  for (geom::Vec2& p : c.fixedPositions) p = decodeVec2(r);
-  c.mobility =
-      decodeEnum(r, ScenarioConfig::Mobility::kGroup, "mobility");
-  c.groupSize = static_cast<int>(r.i64());
-  c.groupSpanMeters = r.f64();
-  c.scheme = decodeScheme(r);
-  c.neighborSource =
-      decodeEnum(r, experiment::NeighborSource::kHello, "neighborSource");
-  c.hello.enabled = r.boolean();
-  c.hello.interval = r.duration();
-  c.hello.dynamic = r.boolean();
-  c.hello.intervalMin = r.duration();
-  c.hello.intervalMax = r.duration();
-  c.hello.nvMax = r.f64();
-  c.hello.piggybackNeighbors = r.boolean();
-  c.hello.baseBytes = static_cast<std::size_t>(r.u64());
-  c.hello.perNeighborBytes = static_cast<std::size_t>(r.u64());
-  c.hello.startJitter = r.duration();
-  c.hello.periodJitterFraction = r.f64();
-  c.numBroadcasts = static_cast<int>(r.i64());
-  c.interarrivalMax = r.duration();
-  c.traffic.arrival = decodeEnum(r, traffic::TrafficConfig::Arrival::kReplay,
-                                 "traffic.arrival");
-  c.traffic.poissonRatePerSecond = r.f64();
-  c.traffic.period = r.duration();
-  c.traffic.burstLength = static_cast<int>(r.i64());
-  c.traffic.burstGapMax = r.duration();
-  c.traffic.burstIdleMean = r.duration();
-  c.traffic.replay.resize(countGuard(r, "replay request"));
-  for (traffic::Request& q : c.traffic.replay) {
-    q.at = r.time();
-    q.source = net::HostId{r.u32()};
-    q.seq = r.u32();
-  }
-  c.traffic.sources = decodeEnum(r, traffic::TrafficConfig::Sources::kZone,
-                                 "traffic.sources");
-  c.traffic.hotspotCount = static_cast<int>(r.i64());
-  c.traffic.hotspotIds.resize(countGuard(r, "hotspot id"));
-  for (net::HostId& id : c.traffic.hotspotIds) id = net::HostId{r.u32()};
-  c.traffic.zoneX0 = r.f64();
-  c.traffic.zoneY0 = r.f64();
-  c.traffic.zoneX1 = r.f64();
-  c.traffic.zoneY1 = r.f64();
-  c.warmup = r.duration();
-  c.drain = r.duration();
-  c.phy.radiusMeters = r.f64();
-  c.phy.bitRateBps = r.f64();
-  c.phy.plcpPreamble = r.duration();
-  c.phy.plcpHeader = r.duration();
-  c.phy.carrierSenseDelay = r.duration();
-  c.mac.slot = r.duration();
-  c.mac.sifs = r.duration();
-  c.mac.difs = r.duration();
-  c.mac.cwBroadcast = static_cast<int>(r.i64());
-  c.mac.cwMin = static_cast<int>(r.i64());
-  c.mac.cwMax = static_cast<int>(r.i64());
-  c.mac.retryLimit = static_cast<int>(r.i64());
-  c.mac.rtsThresholdBytes = static_cast<std::size_t>(r.u64());
-  c.jitterSlots = static_cast<int>(r.i64());
-  c.collisions = r.boolean();
-  c.channelGrid = r.boolean();
-  c.fault.loss = decodeEnum(r, fault::FaultConfig::Loss::kGilbertElliott,
-                            "fault.loss");
-  c.fault.per = r.f64();
-  c.fault.geLossGood = r.f64();
-  c.fault.geLossBad = r.f64();
-  c.fault.geGoodToBad = r.f64();
-  c.fault.geBadToGood = r.f64();
-  c.fault.churn = r.boolean();
-  c.fault.churnFraction = r.f64();
-  c.fault.meanUpTime = r.duration();
-  c.fault.meanDownTime = r.duration();
-  c.fault.script.resize(countGuard(r, "churn script event"));
-  for (fault::ChurnEvent& e : c.fault.script) {
-    e.node = net::HostId{r.u32()};
-    e.at = r.time();
-    e.up = r.boolean();
-  }
-  c.seed = r.u64();
+  ioFields(in, c);
   if (!r.atEnd()) {
     throw Error("trailing bytes after config payload");
   }
-  // ScenarioConfig::resolved(), the loss models and phy::Channel require
-  // these; a blob that breaks them is rejected here, by field name, instead
-  // of aborting on a precondition.
-  requireAtLeastOne(c.mapUnits, "mapUnits");
-  requireAtLeastOne(c.numHosts, "numHosts");
-  requireProbability(c.fault.per, "fault.per");
-  requireProbability(c.fault.geLossGood, "fault.geLossGood");
-  requireProbability(c.fault.geLossBad, "fault.geLossBad");
-  requireProbability(c.fault.geGoodToBad, "fault.geGoodToBad");
-  requireProbability(c.fault.geBadToGood, "fault.geBadToGood");
-  requireProbability(c.fault.churnFraction, "fault.churnFraction");
-  if (!(c.phy.radiusMeters > 0.0)) {
-    throw Error("config phy.radiusMeters " + std::to_string(c.phy.radiusMeters) +
-                " must be positive");
-  }
-  if (!(c.phy.bitRateBps > 0.0)) {
-    throw Error("config phy.bitRateBps " + std::to_string(c.phy.bitRateBps) +
-                " must be positive");
-  }
-  if (!c.phy.senseDelayValid()) {
-    throw Error("config phy.carrierSenseDelay " +
-                std::to_string(c.phy.carrierSenseDelay.ticks()) +
-                " us must lie in [0, " +
-                std::to_string(c.phy.frameAirtime(0).ticks()) +
-                ") us, below the shortest frame airtime");
+  try {
+    experiment::validate(c);
+  } catch (const std::invalid_argument& e) {
+    throw Error(e.what());
   }
   return c;
 }

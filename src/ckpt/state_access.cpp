@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "core/threshold.hpp"
 #include "experiment/host.hpp"
 #include "experiment/world.hpp"
 #include "fault/loss.hpp"
@@ -431,31 +430,6 @@ StateDigests StateAccess::digests(const experiment::World& world) {
     out.push_back({prefix + "nextSeq", h->nextSeq_.value()});
   }
   return out;
-}
-
-// --- thresholds --------------------------------------------------------
-
-const std::vector<int>& StateAccess::counterValues(
-    const core::CounterThreshold& fn) {
-  return fn.values_;
-}
-
-core::CounterThreshold StateAccess::makeCounterThreshold(
-    std::vector<int> values) {
-  return core::CounterThreshold(std::move(values));
-}
-
-void StateAccess::areaFields(const core::AreaThreshold& fn, double& low,
-                             double& high, int& n1, int& n2) {
-  low = fn.low_;
-  high = fn.high_;
-  n1 = fn.n1_;
-  n2 = fn.n2_;
-}
-
-core::AreaThreshold StateAccess::makeAreaThreshold(double low, double high,
-                                                   int n1, int n2) {
-  return core::AreaThreshold(low, high, n1, n2);
 }
 
 }  // namespace manet::ckpt

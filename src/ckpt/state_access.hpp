@@ -20,10 +20,6 @@
 
 #include "ckpt/digest.hpp"
 
-namespace manet::core {
-class CounterThreshold;
-class AreaThreshold;
-}  // namespace manet::core
 namespace manet::experiment {
 class Host;
 class World;
@@ -66,15 +62,6 @@ struct StateAccess {
   /// `mobility`, `neighborTable`, `broadcastStates`, `up` and `nextSeq`
   /// (the last two raw).
   static StateDigests digests(const experiment::World& world);
-
-  // --- threshold raw access (config serialization; ctors are private) ---
-  static const std::vector<int>& counterValues(
-      const core::CounterThreshold& fn);
-  static core::CounterThreshold makeCounterThreshold(std::vector<int> values);
-  static void areaFields(const core::AreaThreshold& fn, double& low,
-                         double& high, int& n1, int& n2);
-  static core::AreaThreshold makeAreaThreshold(double low, double high, int n1,
-                                               int n2);
 
  private:
   // --- per-subsystem folds (side-effect-free raw reads) ---

@@ -9,13 +9,17 @@ namespace manet::core {
 
 CounterThreshold::CounterThreshold(std::vector<int> values)
     : values_(std::move(values)) {
-  MANET_EXPECTS(!values_.empty());
-  for (int v : values_) MANET_EXPECTS(v >= 1);
+  MANET_EXPECTS(validValues(values_));
   // Drop a redundant repeated tail so equal functions compare equal.
   while (values_.size() > 1 &&
          values_[values_.size() - 1] == values_[values_.size() - 2]) {
     values_.pop_back();
   }
+}
+
+bool CounterThreshold::validValues(const std::vector<int>& values) {
+  return !values.empty() &&
+         std::all_of(values.begin(), values.end(), [](int v) { return v >= 1; });
 }
 
 CounterThreshold CounterThreshold::fixed(int c) {
@@ -92,9 +96,11 @@ std::string CounterThreshold::toDigits() const {
 
 AreaThreshold::AreaThreshold(double low, double high, int n1, int n2)
     : low_(low), high_(high), n1_(n1), n2_(n2) {
-  MANET_EXPECTS(low_ >= 0.0);
-  MANET_EXPECTS(high_ >= low_);
-  MANET_EXPECTS(n2_ >= n1_);
+  MANET_EXPECTS(valid(low, high, n1, n2));
+}
+
+bool AreaThreshold::valid(double low, double high, int n1, int n2) {
+  return low >= 0.0 && high >= low && n2 >= n1;
 }
 
 AreaThreshold AreaThreshold::fixed(double a) {

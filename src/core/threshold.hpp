@@ -7,10 +7,6 @@
 #include <string_view>
 #include <vector>
 
-namespace manet::ckpt {
-struct StateAccess;
-}
-
 namespace manet::core {
 
 /// Decay shapes between n1 and n2 tested in Fig. 5d.
@@ -29,6 +25,13 @@ enum class DecayShape {
 /// a single neighbor — it must try to rebroadcast).
 class CounterThreshold {
  public:
+  /// C(1), C(2), ... as given; the last value repeats. validValues must
+  /// hold.
+  explicit CounterThreshold(std::vector<int> values);
+
+  /// True for a non-empty list of values >= 1.
+  static bool validValues(const std::vector<int>& values);
+
   /// Fixed-threshold baseline: C(n) = c for all n.
   static CounterThreshold fixed(int c);
 
@@ -50,12 +53,13 @@ class CounterThreshold {
   /// stabilizes: e.g. "23455433222".
   std::string toDigits() const;
 
+  /// The stored values (a repeated tail already dropped).
+  const std::vector<int>& values() const { return values_; }
+
   friend bool operator==(const CounterThreshold&,
                          const CounterThreshold&) = default;
 
  private:
-  friend struct manet::ckpt::StateAccess;
-  explicit CounterThreshold(std::vector<int> values);
   std::vector<int> values_;  // values_[i] = C(i+1); last repeats
 };
 
@@ -63,6 +67,13 @@ class CounterThreshold {
 /// scheme. A(n) = 0 forces rebroadcast; larger values inhibit more.
 class AreaThreshold {
  public:
+  /// `low` up to n1, linear to `high` at n2, `high` afterwards (n1 == n2:
+  /// `high` everywhere). valid must hold.
+  AreaThreshold(double low, double high, int n1, int n2);
+
+  /// True when 0 <= low <= high and n1 <= n2.
+  static bool valid(double low, double high, int n1, int n2);
+
   /// Fixed-threshold baseline: A(n) = a for all n.
   static AreaThreshold fixed(double a);
 
@@ -75,14 +86,14 @@ class AreaThreshold {
 
   double operator()(int n) const;
 
+  double low() const { return low_; }
+  double high() const { return high_; }
   int n1() const { return n1_; }
   int n2() const { return n2_; }
 
   friend bool operator==(const AreaThreshold&, const AreaThreshold&) = default;
 
  private:
-  friend struct manet::ckpt::StateAccess;
-  AreaThreshold(double low, double high, int n1, int n2);
   double low_ = 0.0;
   double high_ = 0.0;
   int n1_ = 0;

@@ -1,15 +1,9 @@
 #include "experiment/scenario.hpp"
 
-#include "util/assert.hpp"
-
 namespace manet::experiment {
 
 ScenarioConfig ScenarioConfig::resolved() const {
   ScenarioConfig out = *this;
-  MANET_EXPECTS(out.mapUnits >= 1);
-  MANET_EXPECTS(out.numHosts >= 1);
-  MANET_EXPECTS(out.numBroadcasts >= 0);
-  MANET_EXPECTS(out.jitterSlots >= 0);
 
   if (!out.fixedPositions.empty()) {
     out.numHosts = static_cast<int>(out.fixedPositions.size());

@@ -1,5 +1,8 @@
 // Scenario configuration: the knobs of the paper's experimental setup (§4)
-// with the paper's values as defaults.
+// with the paper's values as defaults. Every field's name and domain is
+// declared once, in config_schema.hpp; World applies the environment knob
+// aliases declared there (MANET_FAULT_*, MANET_TRAFFIC_*,
+// MANET_CHANNEL_GRID) at construction.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +62,7 @@ struct ScenarioConfig {
   /// Workload generation (DESIGN.md §12): arrival process x source model.
   /// The default (Uniform arrivals from uniform sources) is bit-identical to
   /// the paper's single workload; interarrivalMax above parameterizes it.
-  /// The world additionally applies MANET_TRAFFIC_* environment overrides at
-  /// construction. kReplay forces numBroadcasts to the script size.
+  /// kReplay forces numBroadcasts to the script size.
   traffic::TrafficConfig traffic{};
   /// Simulated time before the first broadcast (lets HELLO tables fill).
   /// < 0 selects an automatic value (2 hello intervals + 1 s, or 100 ms when
@@ -76,13 +78,12 @@ struct ScenarioConfig {
   bool collisions = true;   // ablation hook: false = perfect PHY
   /// Range queries through the channel's spatial grid (default) or the
   /// exhaustive scan. Identical results either way — the switch exists for
-  /// differential tests and perf comparisons (also: MANET_CHANNEL_GRID=0).
+  /// differential tests and perf comparisons.
   bool channelGrid = true;
 
   /// Fault injection (DESIGN.md §8): link loss models and host churn. Off by
   /// default; a disabled config is bit-identical to the fault-free
-  /// simulator. The world additionally applies MANET_FAULT_* environment
-  /// overrides at construction.
+  /// simulator.
   fault::FaultConfig fault{};
 
   std::uint64_t seed = 1;

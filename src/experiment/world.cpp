@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "experiment/config_schema.hpp"
 #include "mobility/group.hpp"
 #include "mobility/random_roam.hpp"
 #include "mobility/waypoint.hpp"
@@ -9,7 +10,6 @@
 #include "stats/connectivity.hpp"
 #include "traffic/generator.hpp"
 #include "util/assert.hpp"
-#include "util/env.hpp"
 
 namespace manet::experiment {
 
@@ -31,20 +31,28 @@ void World::AuditBridge::onViolation(const audit::Violation& violation) {
 }
 #endif
 
+namespace {
+
+/// Rejects a bad knob or field by name before any subsystem sees it.
+ScenarioConfig validated(ScenarioConfig config) {
+  applyEnvAliases(config);
+  validate(config);
+  return config;
+}
+
+}  // namespace
+
 World::World(const ScenarioConfig& config)
-    : config_(config.resolved()),
+    : config_(validated(config.resolved())),
       channel_(scheduler_, config_.phy),
       metrics_(static_cast<std::size_t>(config_.numHosts)),
       policy_(config_.scheme.build()),
       workloadRng_(sim::Rng(config_.seed).fork(0xF00D)) {
   channel_.setCollisionsEnabled(config_.collisions);
-  channel_.setGridEnabled(config_.channelGrid &&
-                          util::envInt("MANET_CHANNEL_GRID", 1) != 0);
+  channel_.setGridEnabled(config_.channelGrid);
 
   // Fault injection. Dedicated RNG streams (0xFA01 loss, 0xC4 churn) mean
   // enabling faults never shifts the draws of mobility, hosts, or workload.
-  config_.fault = config_.fault.withEnvOverrides();
-  config_.traffic = config_.traffic.withEnvOverrides();
   lossModel_ =
       fault::makeLossModel(config_.fault, sim::Rng(config_.seed).fork(0xFA01));
   if (lossModel_ != nullptr) {

@@ -27,8 +27,9 @@ namespace manet::experiment {
 
 class World {
  public:
-  /// Builds hosts, mobility, MACs, and the policy from `config`
-  /// (automatically resolved).
+  /// Builds hosts, mobility, MACs, and the policy from `config`, resolved,
+  /// with the environment knob aliases applied (config_schema.hpp) and then
+  /// validated. Throws std::invalid_argument naming a bad knob or field.
   explicit World(const ScenarioConfig& config);
   World(const World&) = delete;
   World& operator=(const World&) = delete;
@@ -170,7 +171,7 @@ class World {
   AuditBridge auditBridge_{*this};
 #endif
 
-  ScenarioConfig config_;  // resolved, MANET_FAULT_*/_TRAFFIC_* applied
+  ScenarioConfig config_;  // resolved, env aliases applied, validated
   /// Packet arena + its thread-install scope. Declared before every
   /// component that allocates packets; the scope uninstalls first on
   /// destruction, and outstanding packets keep the arena state refcounted.

@@ -59,21 +59,6 @@ struct FaultConfig {
   bool lossEnabled() const { return loss != Loss::kNone; }
   bool churnEnabled() const { return churn || !script.empty(); }
   bool enabled() const { return lossEnabled() || churnEnabled(); }
-
-  /// Returns a copy with the `MANET_FAULT_*` environment overrides applied
-  /// (same pattern as MANET_CHANNEL_GRID / MANET_THREADS — rerun a built
-  /// binary under faults without touching code):
-  ///   MANET_FAULT_LOSS = none | iid | ge
-  ///   MANET_FAULT_PER  = <double>     (implies iid when MANET_FAULT_LOSS
-  ///                                    is unset)
-  ///   MANET_FAULT_GE_LOSS_GOOD / _GE_LOSS_BAD / _GE_P_GB / _GE_P_BG
-  ///   MANET_FAULT_CHURN = 0 | 1
-  ///   MANET_FAULT_CHURN_FRACTION = <double>
-  ///   MANET_FAULT_UP_S / MANET_FAULT_DOWN_S = <double seconds>
-  /// An unknown LOSS name, a probability (PER, GE_*, CHURN_FRACTION)
-  /// outside [0, 1], or a malformed number throws std::invalid_argument
-  /// naming the variable.
-  FaultConfig withEnvOverrides() const;
 };
 
 }  // namespace manet::fault

@@ -16,7 +16,7 @@ thread_local PacketPool* tlsPool = nullptr;
 std::atomic<bool> gEnabled{true};
 
 bool enabledFromEnv() {
-  static const bool fromEnv = util::envInt("MANET_PACKET_POOL", 1) != 0;
+  static const bool fromEnv = util::envBool("MANET_PACKET_POOL", true);
   return fromEnv;
 }
 

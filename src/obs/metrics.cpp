@@ -105,7 +105,7 @@ std::atomic<bool> gForced{false};
 }  // namespace
 
 bool collectionEnabled() {
-  static const bool fromEnv = util::envInt("MANET_METRICS", 0) != 0;
+  static const bool fromEnv = util::envBool("MANET_METRICS", false);
   return fromEnv || gForced.load(std::memory_order_relaxed);
 }
 

@@ -82,23 +82,6 @@ struct TrafficConfig {
   bool isDefault() const {
     return arrival == Arrival::kUniform && sources == Sources::kUniform;
   }
-
-  /// Returns a copy with the `MANET_TRAFFIC_*` environment overrides applied
-  /// (same pattern as MANET_FAULT_* — rerun a built binary under a different
-  /// workload without touching code):
-  ///   MANET_TRAFFIC_ARRIVAL = uniform | poisson | cbr | burst
-  ///   MANET_TRAFFIC_RATE    = <double requests/s>  (implies poisson when
-  ///                           MANET_TRAFFIC_ARRIVAL is unset)
-  ///   MANET_TRAFFIC_PERIOD_S = <double seconds>    (implies cbr when
-  ///                           MANET_TRAFFIC_ARRIVAL is unset)
-  ///   MANET_TRAFFIC_BURST_LEN / _BURST_GAP_S / _IDLE_S
-  ///   MANET_TRAFFIC_SOURCES = uniform | hotspot | zone
-  ///   MANET_TRAFFIC_HOTSPOT_K = <int>
-  ///   MANET_TRAFFIC_ZONE = "x0,y0,x1,y1"           (map-side fractions)
-  /// Replay scripts are programmatic-only — there is no env spelling. An
-  /// unknown ARRIVAL or SOURCES name, or a malformed number, throws
-  /// std::invalid_argument naming the variable.
-  TrafficConfig withEnvOverrides() const;
 };
 
 }  // namespace manet::traffic

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -48,6 +49,14 @@ double envDouble(const char* name, double fallback) {
   if (end == raw || *end != '\0') reject(name, raw, "is not a number");
   if (!std::isfinite(value)) reject(name, raw, "is not finite");
   return value;
+}
+
+bool envBool(const char* name, bool fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  if (std::strcmp(raw, "0") == 0) return false;
+  if (std::strcmp(raw, "1") == 0) return true;
+  reject(name, raw, "is not 0 or 1");
 }
 
 std::optional<std::string> envString(const char* name) {

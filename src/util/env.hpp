@@ -24,6 +24,11 @@ int envInt(const char* name, int fallback, int lo, int hi);
 /// and its value when the text is not a whole number or is not finite.
 double envDouble(const char* name, double fallback);
 
+/// Returns the on/off value of environment variable `name`: "1" is true,
+/// "0" false, unset or empty `fallback`. Throws std::invalid_argument
+/// naming the variable and its value on any other text.
+bool envBool(const char* name, bool fallback);
+
 /// Returns the string value of environment variable `name` if set.
 std::optional<std::string> envString(const char* name);
 

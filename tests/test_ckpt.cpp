@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <limits>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "ckpt/config_io.hpp"
+#include "ckpt/digest.hpp"
 #include "ckpt/io.hpp"
 #include "ckpt/state_access.hpp"
 #include "experiment/runner.hpp"
@@ -227,6 +229,104 @@ TEST(CkptDigest, ResumeNamesEveryTamperedDigest) {
   }
 }
 
+/// A config with every field set off its default (and still valid), so the
+/// golden encoding below pins each field's position and width.
+ScenarioConfig offDefaultConfig() {
+  using experiment::NeighborSource;
+  using traffic::TrafficConfig;
+  const auto ms = [](std::int64_t n) { return n * sim::kMillisecond; };
+  const auto at = [](sim::Duration d) { return sim::kTimeZero + d; };
+  ScenarioConfig c;
+  c.mapUnits = 7;
+  c.unitMeters = 450.5;
+  c.numHosts = 3;
+  c.maxSpeedKmh = 12.25;
+  c.fixedPositions = {{1.5, 2.5}, {300.25, 40.0}, {610.0, 5.75}};
+  c.mobility = ScenarioConfig::Mobility::kGroup;
+  c.groupSize = 4;
+  c.groupSpanMeters = 150.5;
+  c.scheme.type = SchemeSpec::Type::kCluster;
+  c.scheme.probability = 0.625;
+  c.scheme.counterC = 4;
+  c.scheme.distanceD = 120.5;
+  c.scheme.areaA = 0.0875;
+  c.scheme.counterFn = core::CounterThreshold::fromDigits("2345432");
+  c.scheme.areaFn = core::AreaThreshold::piecewise(3, 9, 0.25);
+  c.scheme.clusterInnerCounter = 5;
+  c.scheme.label = "golden";
+  c.neighborSource = NeighborSource::kHello;
+  c.hello.enabled = true;
+  c.hello.interval = ms(1500);
+  c.hello.dynamic = true;
+  c.hello.intervalMin = ms(700);
+  c.hello.intervalMax = ms(9000);
+  c.hello.nvMax = 0.03;
+  c.hello.piggybackNeighbors = false;
+  c.hello.baseBytes = 28;
+  c.hello.perNeighborBytes = 6;
+  c.hello.startJitter = ms(2000);
+  c.hello.periodJitterFraction = 0.2;
+  c.numBroadcasts = 17;
+  c.interarrivalMax = ms(3000);
+  c.traffic.arrival = TrafficConfig::Arrival::kBurst;
+  c.traffic.poissonRatePerSecond = 2.5;
+  c.traffic.period = ms(750);
+  c.traffic.burstLength = 6;
+  c.traffic.burstGapMax = ms(40);
+  c.traffic.burstIdleMean = ms(3000);
+  c.traffic.replay = {{at(ms(2000)), net::HostId{1}, 0},
+                      {at(ms(1000)), net::HostId{2}, 1}};
+  c.traffic.sources = TrafficConfig::Sources::kHotspot;
+  c.traffic.hotspotCount = 2;
+  c.traffic.hotspotIds = {net::HostId{2}, net::HostId{0}};
+  c.traffic.zoneX0 = 0.1;
+  c.traffic.zoneY0 = 0.2;
+  c.traffic.zoneX1 = 0.6;
+  c.traffic.zoneY1 = 0.7;
+  c.warmup = ms(2500);
+  c.drain = ms(8000);
+  c.phy.radiusMeters = 450.0;
+  c.phy.bitRateBps = 2e6;
+  c.phy.plcpPreamble = sim::Duration{72};
+  c.phy.plcpHeader = sim::Duration{24};
+  c.phy.carrierSenseDelay = sim::Duration{3};
+  c.mac.slot = sim::Duration{10};
+  c.mac.sifs = sim::Duration{8};
+  c.mac.difs = sim::Duration{40};
+  c.mac.cwBroadcast = 15;
+  c.mac.cwMin = 15;
+  c.mac.cwMax = 511;
+  c.mac.retryLimit = 5;
+  c.mac.rtsThresholdBytes = 256;
+  c.jitterSlots = 15;
+  c.collisions = false;
+  c.channelGrid = false;
+  c.fault.loss = fault::FaultConfig::Loss::kGilbertElliott;
+  c.fault.per = 0.05;
+  c.fault.geLossGood = 0.01;
+  c.fault.geLossBad = 0.6;
+  c.fault.geGoodToBad = 0.1;
+  c.fault.geBadToGood = 0.3;
+  c.fault.churn = true;
+  c.fault.churnFraction = 0.4;
+  c.fault.meanUpTime = ms(15000);
+  c.fault.meanDownTime = ms(4000);
+  c.fault.script = {{net::HostId{1}, at(ms(3000)), false},
+                    {net::HostId{1}, at(ms(5000)), true}};
+  c.seed = 0xDEADBEEF1234ull;
+  return c;
+}
+
+TEST(CkptConfig, GoldenEncodingPinsFieldOrderAndLayout) {
+  // Recorded from the hand-written encoder the declared field list
+  // replaced: the same config must keep producing the same CFG0 bytes.
+  const ScenarioConfig c = offDefaultConfig();
+  const std::vector<std::uint8_t> blob = encodeConfig(c);
+  EXPECT_EQ(blob.size(), 716u);
+  EXPECT_EQ(fnv1a(blob.data(), blob.size()), 0x3084e5cbd51bc97dull);
+  EXPECT_EQ(encodeConfig(decodeConfig(blob)), blob);
+}
+
 TEST(CkptConfig, ResolvedConfigRoundTripsByteExact) {
   ScenarioConfig c = smallConfig();
   c.fixedPositions = {{0, 0}, {100, 50}, {200, 0}};
@@ -249,17 +349,20 @@ void expectErrorNaming(const std::function<void()>& fn, const char* field) {
   }
 }
 
+/// Returns a call that decodes the CFG0 bytes of smallConfig() as
+/// modified by `breakIt`.
+std::function<void()> decodeWith(void (*breakIt)(ScenarioConfig&)) {
+  ScenarioConfig c = smallConfig().resolved();
+  breakIt(c);
+  return [blob = encodeConfig(c)] { decodeConfig(blob); };
+}
+
 TEST(CkptConfig, DecodeRejectsPhyParamsTheChannelRefuses) {
   // phy::Channel requires a positive radius and bit rate and every
-  // carrier-sense event to fire before the shortest frame ends;
-  // ScenarioConfig::resolved() requires a map and a host; the loss models
-  // require probabilities; every enum byte must name an enumerator. A blob
-  // that breaks one is rejected by field name, not by a precondition.
-  const auto decodeWith = [](void (*breakIt)(ScenarioConfig&)) {
-    ScenarioConfig c = smallConfig().resolved();
-    breakIt(c);
-    return [blob = encodeConfig(c)] { decodeConfig(blob); };
-  };
+  // carrier-sense event to fire before the shortest frame ends; a world
+  // requires a map and a host; the loss models require probabilities;
+  // every enum byte must name an enumerator. A blob that breaks one is
+  // rejected by field name, not by a precondition.
   expectErrorNaming(decodeWith([](ScenarioConfig& c) {
                       c.phy.carrierSenseDelay = airtimeFloor();
                     }),
@@ -335,6 +438,79 @@ TEST(CkptConfig, DecodeRejectsPhyParamsTheChannelRefuses) {
     c.fault.per = 1.0;
     c.fault.churnFraction = 0.0;
   })());
+}
+
+TEST(CkptConfig, DecodeRejectsFieldsEveryHostRequires) {
+  // Every host builds a HelloAgent and a DcfMac, whose constructors
+  // require these; the workload requires a count and a jitter >= 0. Each
+  // used to decode and then abort on a precondition.
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.hello.interval = sim::Duration{};
+                    }),
+                    "hello.interval");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.hello.intervalMax = c.hello.intervalMin -
+                                            sim::Duration{1};
+                    }),
+                    "hello.intervalMax");
+  expectErrorNaming(
+      decodeWith([](ScenarioConfig& c) { c.hello.periodJitterFraction = 1.0; }),
+      "hello.periodJitterFraction");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) { c.mac.cwMin = 0; }),
+                    "mac.cwMin");
+  expectErrorNaming(
+      decodeWith([](ScenarioConfig& c) { c.mac.cwMax = c.mac.cwMin - 1; }),
+      "mac.cwMax");
+  expectErrorNaming(
+      decodeWith([](ScenarioConfig& c) { c.mac.slot = sim::Duration{}; }),
+      "mac.slot");
+  expectErrorNaming(
+      decodeWith([](ScenarioConfig& c) { c.numBroadcasts = -1; }),
+      "numBroadcasts");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) { c.jitterSlots = -2; }),
+                    "jitterSlots");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.traffic.arrival =
+                          traffic::TrafficConfig::Arrival::kReplay;
+                      c.traffic.replay = {
+                          {sim::kTimeZero, net::HostId{30}, 0}};
+                    }),
+                    "traffic.replay");
+  expectErrorNaming(decodeWith([](ScenarioConfig& c) {
+                      c.scheme = SchemeSpec::counter(0);
+                    }),
+                    "scheme.counterC");
+}
+
+/// Overwrites the 8 little-endian bytes at `offset` of `blob` with `v`.
+void patchI64(std::vector<std::uint8_t>& blob, std::size_t offset,
+              std::int64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    blob[offset + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(static_cast<std::uint64_t>(v) >> (8 * i));
+  }
+}
+
+TEST(CkptConfig, DecodeRejectsValuesItCannotRepresent) {
+  // numHosts is the third field (after mapUnits i64 and unitMeters f64); a
+  // value past int used to wrap silently.
+  std::vector<std::uint8_t> blob = encodeConfig(smallConfig().resolved());
+  patchI64(blob, 16, (std::int64_t{1} << 32) + 5);
+  expectErrorNaming([&] { decodeConfig(blob); }, "numHosts");
+
+  // A counter threshold value of 0, which CounterThreshold refuses: find
+  // the single-value list {7} and make it {0}.
+  ScenarioConfig c = smallConfig().resolved();
+  c.scheme.counterFn = core::CounterThreshold::fixed(7);
+  blob = encodeConfig(c);
+  const std::uint8_t list[16] = {1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0};
+  const auto at = std::search(blob.begin(), blob.end(), std::begin(list),
+                              std::end(list));
+  ASSERT_NE(at, blob.end());
+  ASSERT_EQ(std::search(at + 1, blob.end(), std::begin(list), std::end(list)),
+            blob.end());
+  patchI64(blob, static_cast<std::size_t>(at - blob.begin()) + 8, 0);
+  expectErrorNaming([&] { decodeConfig(blob); }, "scheme.counterFn");
 }
 
 TEST(Ckpt, ResumeRejectsBlobWithInvalidCarrierSenseDelay) {
@@ -536,6 +712,20 @@ TEST(CkptSpec, ParseAnchorSpec) {
   EXPECT_THROW(parseAnchorSpec("abc"), Error);
   EXPECT_THROW(parseAnchorSpec("150%"), Error);
   EXPECT_THROW(parseAnchorSpec("-3"), Error);
+  // NaN slipped past the range checks, and an infinite anchor has no tick.
+  EXPECT_THROW(parseAnchorSpec("nan%"), Error);
+  EXPECT_THROW(parseAnchorSpec("nan"), Error);
+  EXPECT_THROW(parseAnchorSpec("inf"), Error);
+  // Trailing text used to throw an Error with an empty message.
+  for (const char* bad : {"12.5s", "50%%", "5x%"}) {
+    try {
+      parseAnchorSpec(bad);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CkptSpec, ParseSchemeOverride) {
@@ -545,6 +735,23 @@ TEST(CkptSpec, ParseSchemeOverride) {
             SchemeSpec::probabilistic(0.5).name());
   EXPECT_THROW(parseSchemeOverride("bogus"), Error);
   EXPECT_THROW(parseSchemeOverride("c=zero"), Error);
+  // Trailing text used to be dropped (c=3x ran as C=3), and values outside
+  // the scheme fields' domains were accepted.
+  for (const char* bad : {"c=3x", "p=0.5.1", "d=10m", "p=7", "p=-0.1",
+                          "c=-2", "c=0", "d=-5", "a=1.5", "c=99999999999"}) {
+    try {
+      parseSchemeOverride(bad);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("MANET_CKPT_SCHEME"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parseSchemeOverride("d=125.5").name(),
+            SchemeSpec::distance(125.5).name());
+  EXPECT_EQ(parseSchemeOverride("a=0.0134").name(),
+            SchemeSpec::location(0.0134).name());
 }
 
 }  // namespace

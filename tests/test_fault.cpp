@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "experiment/config_schema.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/world.hpp"
 #include "sim/time.hpp"
@@ -181,12 +182,20 @@ TEST(ChurnTimeline, ZeroFractionIsEmpty) {
 
 // ------------------------------------------------------------ env knobs
 
+/// The fault config a World runs under the current environment: a default
+/// ScenarioConfig with the env knob aliases applied.
+FaultConfig faultFromEnv() {
+  experiment::ScenarioConfig c;
+  experiment::applyEnvAliases(c);
+  return c.fault;
+}
+
 TEST(FaultConfigEnv, OverridesApply) {
   ::setenv("MANET_FAULT_LOSS", "ge", 1);
   ::setenv("MANET_FAULT_GE_LOSS_BAD", "0.5", 1);
   ::setenv("MANET_FAULT_CHURN", "1", 1);
   ::setenv("MANET_FAULT_UP_S", "7.5", 1);
-  const FaultConfig out = FaultConfig{}.withEnvOverrides();
+  const FaultConfig out = faultFromEnv();
   ::unsetenv("MANET_FAULT_LOSS");
   ::unsetenv("MANET_FAULT_GE_LOSS_BAD");
   ::unsetenv("MANET_FAULT_CHURN");
@@ -200,18 +209,18 @@ TEST(FaultConfigEnv, OverridesApply) {
 
 TEST(FaultConfigEnv, BarePerImpliesIid) {
   ::setenv("MANET_FAULT_PER", "0.25", 1);
-  const FaultConfig out = FaultConfig{}.withEnvOverrides();
+  const FaultConfig out = faultFromEnv();
   ::unsetenv("MANET_FAULT_PER");
   EXPECT_EQ(out.loss, FaultConfig::Loss::kIid);
   EXPECT_DOUBLE_EQ(out.per, 0.25);
 }
 
-/// Sets `name` to `value` and expects withEnvOverrides() to throw
+/// Sets `name` to `value` and expects applyEnvAliases() to throw
 /// std::invalid_argument naming the variable.
 void expectFaultKnobRejected(const char* name, const char* value) {
   ::setenv(name, value, 1);
   try {
-    (void)FaultConfig{}.withEnvOverrides();
+    (void)faultFromEnv();
     ADD_FAILURE() << name << "=" << value << " was accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
@@ -240,10 +249,39 @@ TEST(FaultConfigEnv, RejectsMalformedNumbers) {
   expectFaultKnobRejected("MANET_FAULT_UP_S", "5s");
 }
 
+TEST(FaultConfigEnv, ChurnIsStrictlyZeroOrOne) {
+  // Read as `!= 0` these used to switch churn on silently.
+  expectFaultKnobRejected("MANET_FAULT_CHURN", "2");
+  expectFaultKnobRejected("MANET_FAULT_CHURN", "-1");
+  ::setenv("MANET_FAULT_CHURN", "0", 1);
+  EXPECT_FALSE(faultFromEnv().churn);
+  ::unsetenv("MANET_FAULT_CHURN");
+}
+
+TEST(FaultConfigEnv, RejectsNegativeDwellTimes) {
+  // MANET_FAULT_CHURN=1 MANET_FAULT_UP_S=-1 used to run on a floored
+  // one-microsecond dwell time.
+  ::setenv("MANET_FAULT_CHURN", "1", 1);
+  expectFaultKnobRejected("MANET_FAULT_UP_S", "-1");
+  expectFaultKnobRejected("MANET_FAULT_DOWN_S", "-0.5");
+  // 1e13 s overflows the int64 microsecond tick.
+  expectFaultKnobRejected("MANET_FAULT_UP_S", "1e13");
+  ::unsetenv("MANET_FAULT_CHURN");
+}
+
+TEST(FaultConfigEnv, EmptyKnobsKeepTheDefaults) {
+  // An empty knob counts as unset: an empty PER no longer selects iid.
+  ::setenv("MANET_FAULT_PER", "", 1);
+  const FaultConfig out = faultFromEnv();
+  ::unsetenv("MANET_FAULT_PER");
+  EXPECT_EQ(out.loss, FaultConfig::Loss::kNone);
+  EXPECT_DOUBLE_EQ(out.per, 0.0);
+}
+
 TEST(FaultConfigEnv, AcceptsTheUnitIntervalBounds) {
   ::setenv("MANET_FAULT_PER", "1", 1);
   ::setenv("MANET_FAULT_CHURN_FRACTION", "0", 1);
-  const FaultConfig out = FaultConfig{}.withEnvOverrides();
+  const FaultConfig out = faultFromEnv();
   ::unsetenv("MANET_FAULT_PER");
   ::unsetenv("MANET_FAULT_CHURN_FRACTION");
   EXPECT_DOUBLE_EQ(out.per, 1.0);

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "experiment/config_schema.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/world.hpp"
 #include "obs/metrics.hpp"
@@ -322,6 +323,14 @@ TEST(TrafficReplay, WorldForcesBroadcastCountToScriptSize) {
 
 // -------------------------------------------------------------- env knobs
 
+/// The traffic config a World runs under the current environment: a default
+/// ScenarioConfig with the env knob aliases applied.
+TrafficConfig trafficFromEnv() {
+  experiment::ScenarioConfig c;
+  experiment::applyEnvAliases(c);
+  return c.traffic;
+}
+
 TEST(TrafficConfigEnv, OverridesApply) {
   ::setenv("MANET_TRAFFIC_ARRIVAL", "burst", 1);
   ::setenv("MANET_TRAFFIC_BURST_LEN", "12", 1);
@@ -329,7 +338,7 @@ TEST(TrafficConfigEnv, OverridesApply) {
   ::setenv("MANET_TRAFFIC_IDLE_S", "6", 1);
   ::setenv("MANET_TRAFFIC_SOURCES", "hotspot", 1);
   ::setenv("MANET_TRAFFIC_HOTSPOT_K", "5", 1);
-  const TrafficConfig out = TrafficConfig{}.withEnvOverrides();
+  const TrafficConfig out = trafficFromEnv();
   ::unsetenv("MANET_TRAFFIC_ARRIVAL");
   ::unsetenv("MANET_TRAFFIC_BURST_LEN");
   ::unsetenv("MANET_TRAFFIC_BURST_GAP_S");
@@ -347,24 +356,24 @@ TEST(TrafficConfigEnv, OverridesApply) {
 
 TEST(TrafficConfigEnv, BareRateImpliesPoissonAndPeriodImpliesCbr) {
   ::setenv("MANET_TRAFFIC_RATE", "2.5", 1);
-  const TrafficConfig poisson = TrafficConfig{}.withEnvOverrides();
+  const TrafficConfig poisson = trafficFromEnv();
   ::unsetenv("MANET_TRAFFIC_RATE");
   EXPECT_EQ(poisson.arrival, TrafficConfig::Arrival::kPoisson);
   EXPECT_DOUBLE_EQ(poisson.poissonRatePerSecond, 2.5);
 
   ::setenv("MANET_TRAFFIC_PERIOD_S", "0.5", 1);
-  const TrafficConfig cbr = TrafficConfig{}.withEnvOverrides();
+  const TrafficConfig cbr = trafficFromEnv();
   ::unsetenv("MANET_TRAFFIC_PERIOD_S");
   EXPECT_EQ(cbr.arrival, TrafficConfig::Arrival::kPeriodic);
   EXPECT_EQ(cbr.period, kSecond / 2);
 }
 
-/// Sets `name` to `value` and expects withEnvOverrides() to throw
+/// Sets `name` to `value` and expects applyEnvAliases() to throw
 /// std::invalid_argument naming the variable.
 void expectTrafficKnobRejected(const char* name, const char* value) {
   ::setenv(name, value, 1);
   try {
-    (void)TrafficConfig{}.withEnvOverrides();
+    (void)trafficFromEnv();
     ADD_FAILURE() << name << "=" << value << " was accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
@@ -391,6 +400,26 @@ TEST(TrafficConfigEnv, RejectsIntKnobsOutsideInt) {
   expectTrafficKnobRejected("MANET_TRAFFIC_HOTSPOT_K", "4294967301");
 }
 
+TEST(TrafficConfigEnv, RejectsNonPositiveRateAndPeriod) {
+  // Each used to abort on a PoissonArrival/PeriodicArrival precondition.
+  expectTrafficKnobRejected("MANET_TRAFFIC_RATE", "0");
+  expectTrafficKnobRejected("MANET_TRAFFIC_RATE", "-3");
+  expectTrafficKnobRejected("MANET_TRAFFIC_PERIOD_S", "0");
+  // Truncates to zero microseconds.
+  expectTrafficKnobRejected("MANET_TRAFFIC_PERIOD_S", "0.0000001");
+}
+
+TEST(TrafficConfigEnv, RejectsNegativeBurstGapAndIdle) {
+  // Each used to abort on a BurstArrival precondition.
+  ::setenv("MANET_TRAFFIC_ARRIVAL", "burst", 1);
+  expectTrafficKnobRejected("MANET_TRAFFIC_BURST_GAP_S", "-1");
+  expectTrafficKnobRejected("MANET_TRAFFIC_IDLE_S", "-2");
+  expectTrafficKnobRejected("MANET_TRAFFIC_IDLE_S", "0");
+  expectTrafficKnobRejected("MANET_TRAFFIC_BURST_LEN", "0");
+  expectTrafficKnobRejected("MANET_TRAFFIC_HOTSPOT_K", "0");
+  ::unsetenv("MANET_TRAFFIC_ARRIVAL");
+}
+
 TEST(TrafficConfigEnv, RejectsMalformedZone) {
   ::setenv("MANET_TRAFFIC_SOURCES", "zone", 1);
   expectTrafficKnobRejected("MANET_TRAFFIC_ZONE", "0.1,0.2");
@@ -402,7 +431,7 @@ TEST(TrafficConfigEnv, RejectsMalformedZone) {
 TEST(TrafficConfigEnv, ZoneParsesFourFractions) {
   ::setenv("MANET_TRAFFIC_SOURCES", "zone", 1);
   ::setenv("MANET_TRAFFIC_ZONE", "0.25,0.5,0.75,1.0", 1);
-  const TrafficConfig out = TrafficConfig{}.withEnvOverrides();
+  const TrafficConfig out = trafficFromEnv();
   ::unsetenv("MANET_TRAFFIC_SOURCES");
   ::unsetenv("MANET_TRAFFIC_ZONE");
   EXPECT_EQ(out.sources, TrafficConfig::Sources::kZone);

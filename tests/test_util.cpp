@@ -158,6 +158,23 @@ TEST(Env, RejectsMalformedOrNonFiniteDoublesNamingTheVariable) {
   unsetenv("MANET_TEST_ENV_F");
 }
 
+TEST(Env, BoolAcceptsOnlyZeroOrOne) {
+  const auto read = [] { envBool("MANET_TEST_ENV_B", false); };
+  // Each used to count as "on" through an `envInt(...) != 0` read.
+  expectRejected("MANET_TEST_ENV_B", "2", read);
+  expectRejected("MANET_TEST_ENV_B", "-1", read);
+  expectRejected("MANET_TEST_ENV_B", "yes", read);
+  expectRejected("MANET_TEST_ENV_B", "01", read);
+  setenv("MANET_TEST_ENV_B", "1", 1);
+  EXPECT_TRUE(envBool("MANET_TEST_ENV_B", false));
+  setenv("MANET_TEST_ENV_B", "0", 1);
+  EXPECT_FALSE(envBool("MANET_TEST_ENV_B", true));
+  setenv("MANET_TEST_ENV_B", "", 1);
+  EXPECT_TRUE(envBool("MANET_TEST_ENV_B", true));
+  unsetenv("MANET_TEST_ENV_B");
+  EXPECT_FALSE(envBool("MANET_TEST_ENV_B", false));
+}
+
 TEST(Env, StringPresence) {
   unsetenv("MANET_TEST_ENV_S");
   EXPECT_FALSE(envString("MANET_TEST_ENV_S").has_value());

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "experiment/config_schema.hpp"
 #include "experiment/runner.hpp"
 
 namespace manet::experiment {
@@ -107,12 +114,140 @@ TEST(World, InterarrivalRespectsBound) {
   }
 }
 
+/// Expects constructing a World from `c` to throw std::invalid_argument
+/// whose message names `what` (a field or a knob).
+void expectWorldRejects(const ScenarioConfig& c, const char* what) {
+  try {
+    World w(c);
+    ADD_FAILURE() << "a world accepted an invalid " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(World, GroupMobilityConfigValidated) {
   ScenarioConfig c;
   c.mobility = ScenarioConfig::Mobility::kGroup;
   c.groupSize = 0;
   c.numBroadcasts = 0;
-  EXPECT_DEATH(World{c}, "Precondition");
+  expectWorldRejects(c, "groupSize");
+}
+
+TEST(World, RejectsFieldsTheSubsystemsRequireByName) {
+  ScenarioConfig c;
+  c.numBroadcasts = 0;
+  c.hello.interval = sim::Duration{};
+  expectWorldRejects(c, "hello.interval");
+  c = ScenarioConfig{};
+  c.mac.cwMin = 0;
+  expectWorldRejects(c, "mac.cwMin");
+  c = ScenarioConfig{};
+  c.mapUnits = 0;
+  expectWorldRejects(c, "mapUnits");
+  c = ScenarioConfig{};
+  c.traffic.arrival = traffic::TrafficConfig::Arrival::kPoisson;
+  c.traffic.poissonRatePerSecond = 0.0;
+  expectWorldRejects(c, "traffic.poissonRatePerSecond");
+  c = ScenarioConfig{};
+  c.traffic.sources = traffic::TrafficConfig::Sources::kHotspot;
+  c.traffic.hotspotIds = {net::HostId{100}};
+  expectWorldRejects(c, "traffic.hotspotIds");
+}
+
+TEST(World, RejectsBadKnobsByName) {
+  ScenarioConfig c;
+  c.numBroadcasts = 0;
+  ::setenv("MANET_TRAFFIC_RATE", "0", 1);
+  expectWorldRejects(c, "MANET_TRAFFIC_RATE");
+  ::unsetenv("MANET_TRAFFIC_RATE");
+  ::setenv("MANET_CHANNEL_GRID", "2", 1);
+  expectWorldRejects(c, "MANET_CHANNEL_GRID");
+  ::unsetenv("MANET_CHANNEL_GRID");
+}
+
+TEST(World, ChannelGridKnobSetsTheRecordedField) {
+  ScenarioConfig c;
+  c.numBroadcasts = 0;
+  ::setenv("MANET_CHANNEL_GRID", "0", 1);
+  const World off(c);
+  ::unsetenv("MANET_CHANNEL_GRID");
+  EXPECT_FALSE(off.config().channelGrid);
+  const World on(c);
+  EXPECT_TRUE(on.config().channelGrid);
+}
+
+// ------------------------------------------------------------ field list
+
+TEST(ConfigSchema, FieldNamesAreUnique) {
+  std::vector<std::string> names;
+  const auto collect = [&names](const char* field, const auto&,
+                                const Domain&) { names.push_back(field); };
+  const ScenarioConfig c;
+  visitFields(c, collect);
+  EXPECT_GE(names.size(), 70u);
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size());
+}
+
+TEST(ConfigSchema, EveryKnobSetsItsField) {
+  // Each World-applied knob, one off-default value, and the field it must
+  // land in. A knob whose alias names no field trips an assertion.
+  struct Case {
+    const char* knob;
+    const char* value;
+    bool (*landed)(const ScenarioConfig&);
+  };
+  using Loss = fault::FaultConfig::Loss;
+  using Arrival = traffic::TrafficConfig::Arrival;
+  using Sources = traffic::TrafficConfig::Sources;
+  const Case cases[] = {
+      {"MANET_CHANNEL_GRID", "0", [](auto& c) { return !c.channelGrid; }},
+      {"MANET_FAULT_LOSS", "ge",
+       [](auto& c) { return c.fault.loss == Loss::kGilbertElliott; }},
+      {"MANET_FAULT_PER", "0.25", [](auto& c) { return c.fault.per == 0.25; }},
+      {"MANET_FAULT_GE_LOSS_GOOD", "0.5",
+       [](auto& c) { return c.fault.geLossGood == 0.5; }},
+      {"MANET_FAULT_GE_LOSS_BAD", "0.5",
+       [](auto& c) { return c.fault.geLossBad == 0.5; }},
+      {"MANET_FAULT_GE_P_GB", "0.5",
+       [](auto& c) { return c.fault.geGoodToBad == 0.5; }},
+      {"MANET_FAULT_GE_P_BG", "0.5",
+       [](auto& c) { return c.fault.geBadToGood == 0.5; }},
+      {"MANET_FAULT_CHURN", "1", [](auto& c) { return c.fault.churn; }},
+      {"MANET_FAULT_CHURN_FRACTION", "0.5",
+       [](auto& c) { return c.fault.churnFraction == 0.5; }},
+      {"MANET_FAULT_UP_S", "3",
+       [](auto& c) { return c.fault.meanUpTime == 3 * sim::kSecond; }},
+      {"MANET_FAULT_DOWN_S", "3",
+       [](auto& c) { return c.fault.meanDownTime == 3 * sim::kSecond; }},
+      {"MANET_TRAFFIC_ARRIVAL", "periodic",
+       [](auto& c) { return c.traffic.arrival == Arrival::kPeriodic; }},
+      {"MANET_TRAFFIC_RATE", "4",
+       [](auto& c) { return c.traffic.poissonRatePerSecond == 4.0; }},
+      {"MANET_TRAFFIC_PERIOD_S", "3",
+       [](auto& c) { return c.traffic.period == 3 * sim::kSecond; }},
+      {"MANET_TRAFFIC_BURST_LEN", "3",
+       [](auto& c) { return c.traffic.burstLength == 3; }},
+      {"MANET_TRAFFIC_BURST_GAP_S", "3",
+       [](auto& c) { return c.traffic.burstGapMax == 3 * sim::kSecond; }},
+      {"MANET_TRAFFIC_IDLE_S", "3",
+       [](auto& c) { return c.traffic.burstIdleMean == 3 * sim::kSecond; }},
+      {"MANET_TRAFFIC_SOURCES", "zone",
+       [](auto& c) { return c.traffic.sources == Sources::kZone; }},
+      {"MANET_TRAFFIC_HOTSPOT_K", "7",
+       [](auto& c) { return c.traffic.hotspotCount == 7; }},
+      {"MANET_TRAFFIC_ZONE", "0.1,0.2,0.3,0.4",
+       [](auto& c) { return c.traffic.zoneY1 == 0.4; }},
+  };
+  for (const Case& k : cases) {
+    ::setenv(k.knob, k.value, 1);
+    ScenarioConfig c;
+    applyEnvAliases(c);
+    ::unsetenv(k.knob);
+    EXPECT_TRUE(k.landed(c)) << k.knob << "=" << k.value;
+    EXPECT_NO_THROW(validate(c)) << k.knob;
+  }
 }
 
 TEST(World, SchemeNamesForTables) {
