@@ -1,7 +1,7 @@
-// google-benchmark comparison of the channel's spatial-grid range resolution
-// against the exhaustive scan (DESIGN.md §7). Not a paper figure — the
-// regression guard for the grid path, run at tiny scale by the `perf_smoke`
-// ctest label.
+// google-benchmark timings of the channel's spatial-grid range resolution
+// (DESIGN.md §7): receiver lists, oracle neighbor counts, reachability and
+// full transmit cycles. Not a paper figure — the regression guard for the
+// range oracle, run at tiny scale by the `perf_smoke` ctest label.
 //
 // The workload mirrors what one simulation epoch pays: mobile hosts whose
 // positions come through the same mobility-model callbacks the real World
@@ -35,12 +35,11 @@ class NullListener : public phy::Channel::Listener {
 /// A channel populated like a World: one RandomRoam model per host, position
 /// callbacks evaluated at the scheduler's current time.
 struct MobileChannel {
-  MobileChannel(int hosts, int mapUnits, bool grid) {
+  MobileChannel(int hosts, int mapUnits) {
     const mobility::MapSpec map = mobility::MapSpec::square(mapUnits);
     sim::Rng master(7);
     phy::PhyParams params;
     channel = std::make_unique<phy::Channel>(scheduler, params);
-    channel->setGridEnabled(grid);
     for (int i = 0; i < hosts; ++i) {
       sim::Rng rng = master.fork(0xA000 + static_cast<std::uint64_t>(i));
       mobility::RoamParams roam;
@@ -67,10 +66,10 @@ struct MobileChannel {
 
 /// Neighbor resolution for every host at one epoch: the inner loop of
 /// transmit() and of the oracle neighborhood queries.
-void BM_NeighborResolution(benchmark::State& state, bool grid) {
+void BM_NeighborResolution(benchmark::State& state) {
   const int hosts = static_cast<int>(state.range(0));
   const int mapUnits = static_cast<int>(state.range(1));
-  MobileChannel mc(hosts, mapUnits, grid);
+  MobileChannel mc(hosts, mapUnits);
   std::vector<net::HostId> receivers;  // reused like transmit()'s scratch
   for (auto _ : state) {
     // 1 ms epochs: the spacing of back-to-back frames during a storm, so
@@ -86,25 +85,17 @@ void BM_NeighborResolution(benchmark::State& state, bool grid) {
   }
   state.SetItemsProcessed(state.iterations() * hosts);
 }
-void BM_NeighborResolutionGrid(benchmark::State& state) {
-  BM_NeighborResolution(state, true);
-}
-void BM_NeighborResolutionExhaustive(benchmark::State& state) {
-  BM_NeighborResolution(state, false);
-}
-// The acceptance case: 100 hosts on the 1x1 map (everyone in range of
-// everyone), plus the mid-density 5x5 map where cell culling also kicks in.
-BENCHMARK(BM_NeighborResolutionGrid)->Args({100, 1})->Args({100, 5})
-    ->Args({400, 5});
-BENCHMARK(BM_NeighborResolutionExhaustive)->Args({100, 1})->Args({100, 5})
+// 100 hosts on the 1x1 map (everyone in range of everyone), plus the
+// mid-density 5x5 map where cell culling also kicks in.
+BENCHMARK(BM_NeighborResolution)->Args({100, 1})->Args({100, 5})
     ->Args({400, 5});
 
 /// The oracle neighbor-count query `n` that the adaptive schemes (AC/AL/NC
 /// tuning) issue on every rebroadcast decision — many per frame-end epoch.
-void BM_OracleNeighborCount(benchmark::State& state, bool grid) {
+void BM_OracleNeighborCount(benchmark::State& state) {
   const int hosts = static_cast<int>(state.range(0));
   const int mapUnits = static_cast<int>(state.range(1));
-  MobileChannel mc(hosts, mapUnits, grid);
+  MobileChannel mc(hosts, mapUnits);
   for (auto _ : state) {
     mc.advance(1 * sim::kMillisecond);
     std::size_t total = 0;
@@ -115,38 +106,43 @@ void BM_OracleNeighborCount(benchmark::State& state, bool grid) {
   }
   state.SetItemsProcessed(state.iterations() * hosts);
 }
-void BM_OracleNeighborCountGrid(benchmark::State& state) {
-  BM_OracleNeighborCount(state, true);
-}
-void BM_OracleNeighborCountExhaustive(benchmark::State& state) {
-  BM_OracleNeighborCount(state, false);
-}
-BENCHMARK(BM_OracleNeighborCountGrid)->Args({100, 1})->Args({100, 5});
-BENCHMARK(BM_OracleNeighborCountExhaustive)->Args({100, 1})->Args({100, 5});
+BENCHMARK(BM_OracleNeighborCount)->Args({100, 1})->Args({100, 5});
 
-/// Floor probe: one epoch advance + a single query. Grid-on pays mobility
-/// integration + the full rebuild here; the difference to the 100-query
+/// The RE denominator e: one breadth-first reachability count per broadcast,
+/// from a rotating source, at a fresh epoch each time.
+void BM_ReachableCount(benchmark::State& state) {
+  const int hosts = static_cast<int>(state.range(0));
+  const int mapUnits = static_cast<int>(state.range(1));
+  MobileChannel mc(hosts, mapUnits);
+  int src = 0;
+  for (auto _ : state) {
+    mc.advance(1 * sim::kMillisecond);
+    benchmark::DoNotOptimize(mc.channel->reachableCount(
+        net::HostId{static_cast<std::uint32_t>(src)}));
+    src = (src + 1) % hosts;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReachableCount)->Args({100, 5})->Args({576, 6});
+
+/// Floor probe: one epoch advance + a single query, which pays mobility
+/// integration + the full rebuild; the difference to the 100-query
 /// benchmarks above is the pure per-query cost.
-void BM_EpochFloor(benchmark::State& state, bool grid) {
-  MobileChannel mc(100, 1, grid);
+void BM_EpochFloor(benchmark::State& state) {
+  MobileChannel mc(100, 1);
   for (auto _ : state) {
     mc.advance(1 * sim::kMillisecond);
     benchmark::DoNotOptimize(mc.channel->inRangeCount(net::HostId{0}));
   }
 }
-void BM_EpochFloorGrid(benchmark::State& state) { BM_EpochFloor(state, true); }
-void BM_EpochFloorExhaustive(benchmark::State& state) {
-  BM_EpochFloor(state, false);
-}
-BENCHMARK(BM_EpochFloorGrid);
-BENCHMARK(BM_EpochFloorExhaustive);
+BENCHMARK(BM_EpochFloor);
 
 /// Full transmit + event-drain cycles (receiver resolution, busy/idle
 /// bookkeeping, reception completion) from a rotating source.
-void BM_TransmitDrain(benchmark::State& state, bool grid) {
+void BM_TransmitDrain(benchmark::State& state) {
   const int hosts = static_cast<int>(state.range(0));
   const int mapUnits = static_cast<int>(state.range(1));
-  MobileChannel mc(hosts, mapUnits, grid);
+  MobileChannel mc(hosts, mapUnits);
   int src = 0;
   for (auto _ : state) {
     mc.advance(1 * sim::kMillisecond);
@@ -157,18 +153,11 @@ void BM_TransmitDrain(benchmark::State& state, bool grid) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-void BM_TransmitDrainGrid(benchmark::State& state) {
-  BM_TransmitDrain(state, true);
-}
-void BM_TransmitDrainExhaustive(benchmark::State& state) {
-  BM_TransmitDrain(state, false);
-}
-BENCHMARK(BM_TransmitDrainGrid)->Args({100, 1})->Args({100, 5});
-BENCHMARK(BM_TransmitDrainExhaustive)->Args({100, 1})->Args({100, 5});
+BENCHMARK(BM_TransmitDrain)->Args({100, 1})->Args({100, 5});
 
-/// End-to-end scenario throughput with the grid on/off; the per-result
-/// frames-per-wall-second rate is what BENCH-style outputs report.
-void BM_ScenarioThroughput(benchmark::State& state, bool grid) {
+/// End-to-end scenario throughput; the per-result frames-per-wall-second
+/// rate is what BENCH-style outputs report.
+void BM_ScenarioThroughput(benchmark::State& state) {
   double framesPerSec = 0.0;
   for (auto _ : state) {
     experiment::ScenarioConfig config;
@@ -176,7 +165,6 @@ void BM_ScenarioThroughput(benchmark::State& state, bool grid) {
     config.numHosts = 100;
     config.numBroadcasts = 5;
     config.scheme = experiment::SchemeSpec::adaptiveCounter();
-    config.channelGrid = grid;
     config.seed = 3;
     const experiment::RunResult r = experiment::runScenario(config);
     framesPerSec = r.framesPerWallSecond();
@@ -185,16 +173,7 @@ void BM_ScenarioThroughput(benchmark::State& state, bool grid) {
   state.counters["frames/s"] = framesPerSec;
   state.SetItemsProcessed(state.iterations() * 5);
 }
-void BM_ScenarioThroughputGrid(benchmark::State& state) {
-  BM_ScenarioThroughput(state, true);
-}
-void BM_ScenarioThroughputExhaustive(benchmark::State& state) {
-  BM_ScenarioThroughput(state, false);
-}
-BENCHMARK(BM_ScenarioThroughputGrid)
-    ->Arg(1)->Arg(5)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ScenarioThroughputExhaustive)
-    ->Arg(1)->Arg(5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScenarioThroughput)->Arg(1)->Arg(5)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

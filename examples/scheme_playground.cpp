@@ -6,59 +6,34 @@
 //   ./build/examples/scheme_playground --scheme=ac --map=7 --speed=50
 //       --broadcasts=100 --hosts=100 --seed=3 --hello --dhi
 //
-// Schemes: flood | prob=<p> | counter=<C> | distance=<D> | location=<A> |
-//          ac | al | nc | cluster[=<C>]
-#include <cstdlib>
-#include <cstring>
+// Schemes: flooding | nc | ac | al | cluster | cluster=<C> | p=<P> | c=<C> |
+//          d=<D> | a=<A>   (experiment::parseScheme, shared with
+//          MANET_CKPT_SCHEME)
+//
+// Bad input (an unknown scheme, a number with trailing text, a value
+// outside its field's domain) names the flag or field and exits 1.
+#include <climits>
+#include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
+#include "experiment/config_schema.hpp"
 #include "experiment/runner.hpp"
+#include "util/env.hpp"
 #include "util/table.hpp"
 
 using namespace manet;
 
 namespace {
 
-bool parseScheme(const std::string& text, experiment::SchemeSpec& out) {
-  auto valueOf = [&](const char* prefix) -> std::string {
-    return text.substr(std::strlen(prefix));
-  };
-  if (text == "flood") {
-    out = experiment::SchemeSpec::flooding();
-  } else if (text.rfind("prob=", 0) == 0) {
-    out = experiment::SchemeSpec::probabilistic(std::atof(valueOf("prob=").c_str()));
-  } else if (text.rfind("counter=", 0) == 0) {
-    out = experiment::SchemeSpec::counter(std::atoi(valueOf("counter=").c_str()));
-  } else if (text.rfind("distance=", 0) == 0) {
-    out = experiment::SchemeSpec::distance(std::atof(valueOf("distance=").c_str()));
-  } else if (text.rfind("location=", 0) == 0) {
-    out = experiment::SchemeSpec::location(std::atof(valueOf("location=").c_str()));
-  } else if (text == "ac") {
-    out = experiment::SchemeSpec::adaptiveCounter();
-  } else if (text == "al") {
-    out = experiment::SchemeSpec::adaptiveLocation();
-  } else if (text == "nc") {
-    out = experiment::SchemeSpec::neighborCoverage();
-  } else if (text == "cluster") {
-    out = experiment::SchemeSpec::clusterBased();
-  } else if (text.rfind("cluster=", 0) == 0) {
-    out = experiment::SchemeSpec::clusterBased(
-        std::atoi(valueOf("cluster=").c_str()));
-  } else {
-    return false;
-  }
-  return true;
-}
-
 void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0
-      << " [--scheme=S] [--map=N] [--speed=KMH] [--broadcasts=B]\n"
-         "          [--hosts=H] [--seed=SEED] [--hello] [--dhi] "
-         "[--no-collisions]\n"
-         "schemes: flood prob=<p> counter=<C> distance=<D> location=<A> "
-         "ac al nc cluster[=<C>]\n";
+  std::cerr << "usage: " << argv0
+            << " [--scheme=S] [--map=N] [--speed=KMH] [--broadcasts=B]\n"
+               "          [--hosts=H] [--seed=SEED] [--hello] [--dhi] "
+               "[--no-collisions]\n"
+               "schemes: "
+            << experiment::kSchemeGrammar << "\n";
 }
 
 }  // namespace
@@ -71,48 +46,56 @@ int main(int argc, char** argv) {
   config.scheme = experiment::SchemeSpec::adaptiveCounter();
   bool hello = false;
   bool dhi = false;
+  experiment::ScenarioConfig resolved;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto valueOf = [&](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.rfind("--scheme=", 0) == 0) {
-      if (!parseScheme(valueOf("--scheme="), config.scheme)) {
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const std::size_t eq = arg.find('=');
+      const std::string flag = arg.substr(0, eq);
+      // A flag's value; a number must be the whole of it.
+      const char* value = eq == std::string::npos ? "" : argv[i] + eq + 1;
+      const auto whole = [&] {
+        return util::parseInt(flag.c_str(), value, INT_MIN, INT_MAX);
+      };
+      if (flag == "--scheme") {
+        config.scheme = experiment::parseScheme(value);
+      } else if (flag == "--map") {
+        config.mapUnits = whole();
+      } else if (flag == "--speed") {
+        config.maxSpeedKmh = util::parseDouble(flag.c_str(), value);
+      } else if (flag == "--broadcasts") {
+        config.numBroadcasts = whole();
+      } else if (flag == "--hosts") {
+        config.numHosts = whole();
+      } else if (flag == "--seed") {
+        config.seed =
+            static_cast<std::uint64_t>(util::parseInt(flag.c_str(), value));
+      } else if (arg == "--hello") {
+        hello = true;
+      } else if (arg == "--dhi") {
+        hello = true;
+        dhi = true;
+      } else if (arg == "--no-collisions") {
+        config.collisions = false;
+      } else {
         usage(argv[0]);
-        return 1;
+        return arg == "--help" ? 0 : 1;
       }
-    } else if (arg.rfind("--map=", 0) == 0) {
-      config.mapUnits = std::atoi(valueOf("--map=").c_str());
-    } else if (arg.rfind("--speed=", 0) == 0) {
-      config.maxSpeedKmh = std::atof(valueOf("--speed=").c_str());
-    } else if (arg.rfind("--broadcasts=", 0) == 0) {
-      config.numBroadcasts = std::atoi(valueOf("--broadcasts=").c_str());
-    } else if (arg.rfind("--hosts=", 0) == 0) {
-      config.numHosts = std::atoi(valueOf("--hosts=").c_str());
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      config.seed = static_cast<std::uint64_t>(
-          std::atoll(valueOf("--seed=").c_str()));
-    } else if (arg == "--hello") {
-      hello = true;
-    } else if (arg == "--dhi") {
-      hello = true;
-      dhi = true;
-    } else if (arg == "--no-collisions") {
-      config.collisions = false;
-    } else {
-      usage(argv[0]);
-      return arg == "--help" ? 0 : 1;
     }
+    if (hello || config.scheme.needsTwoHopInfo()) {
+      config.neighborSource = experiment::NeighborSource::kHello;
+      config.hello.enabled = true;
+      config.hello.dynamic = dhi;
+    }
+    // Everything the run needs, checked before any subsystem sees it.
+    resolved = config.resolved();
+    experiment::validate(resolved);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 1;
   }
 
-  if (hello || config.scheme.needsTwoHopInfo()) {
-    config.neighborSource = experiment::NeighborSource::kHello;
-    config.hello.enabled = true;
-    config.hello.dynamic = dhi;
-  }
-
-  const auto resolved = config.resolved();
   std::cout << "scheme=" << config.scheme.name() << " map=" << config.mapUnits
             << "x" << config.mapUnits << " hosts=" << resolved.numHosts
             << " speed=" << resolved.maxSpeedKmh << "km/h broadcasts="

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -265,53 +264,11 @@ std::unique_ptr<experiment::World> runCheckpointCycle(
 }
 
 experiment::SchemeSpec parseSchemeOverride(const std::string& text) {
-  using experiment::SchemeSpec;
-  if (text == "flooding") return SchemeSpec::flooding();
-  if (text == "nc") return SchemeSpec::neighborCoverage();
-  if (text == "ac") return SchemeSpec::adaptiveCounter();
-  if (text == "al") return SchemeSpec::adaptiveLocation();
-  if (text == "cluster") return SchemeSpec::clusterBased();
-  std::optional<SchemeSpec> scheme;
-  if (text.size() > 2 && text[1] == '=') {
-    try {
-      // The number must be the whole rest of the text.
-      const std::string value = text.substr(2);
-      std::size_t used = 0;
-      switch (text[0]) {
-        case 'p':
-          scheme = SchemeSpec::probabilistic(std::stod(value, &used));
-          break;
-        case 'c':
-          scheme = SchemeSpec::counter(std::stoi(value, &used));
-          break;
-        case 'd':
-          scheme = SchemeSpec::distance(std::stod(value, &used));
-          break;
-        case 'a':
-          scheme = SchemeSpec::location(std::stod(value, &used));
-          break;
-        default:
-          break;
-      }
-      if (used != value.size()) scheme.reset();
-    } catch (const std::exception&) {
-      // fall through to the unified error below
-    }
-  }
-  if (!scheme) {
-    throw Error(
-        "bad MANET_CKPT_SCHEME '" + text +
-        "' (want flooding|nc|ac|al|cluster|p=<prob>|c=<n>|d=<m>|a=<frac>)");
-  }
-  // The scheme fields' domains, checked in a default config.
-  experiment::ScenarioConfig config;
-  config.scheme = *scheme;
   try {
-    experiment::validate(config);
+    return experiment::parseScheme(text);
   } catch (const std::invalid_argument& e) {
-    throw Error("bad MANET_CKPT_SCHEME '" + text + "': " + e.what());
+    throw Error(std::string("bad MANET_CKPT_SCHEME: ") + e.what());
   }
-  return *scheme;
 }
 
 bool configureFromCli(int argc, char** argv, const std::string& benchName) {

@@ -78,11 +78,9 @@ std::unique_ptr<experiment::World> runCheckpointCycle(
     const experiment::ScenarioConfig& config, const AnchorSpec& anchor,
     const std::string& blobDir, const std::string& tag);
 
-/// Parses a MANET_CKPT_SCHEME override spec:
-///   flooding | nc | ac | al | cluster | p=<prob> | c=<counter> |
-///   d=<meters> | a=<fraction>
-/// Throws Error on anything else, on trailing text after the number, and
-/// on a number outside the scheme field's domain (validate()).
+/// Parses a MANET_CKPT_SCHEME override spec with experiment::parseScheme
+/// (grammar experiment::kSchemeGrammar). Throws Error naming the knob on
+/// anything that parser rejects.
 experiment::SchemeSpec parseSchemeOverride(const std::string& text);
 
 /// Bench wiring, called by bench::Report before any sweep runs:

@@ -26,7 +26,7 @@ namespace manet::ckpt {
 
 /// Checkpoint format version. Bump on any layout change; resume refuses a
 /// mismatched file rather than guessing (DESIGN.md §14 versioning policy).
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Leading magic; the trailing newline catches text-mode mangling early.
 inline constexpr char kMagic[] = "MCKPT1\n";

@@ -92,7 +92,6 @@ struct EnvAlias {
 };
 
 constexpr EnvAlias kEnvAliases[] = {
-    {"MANET_CHANNEL_GRID", "channelGrid"},
     {"MANET_FAULT_LOSS", "fault.loss"},
     {"MANET_FAULT_PER", "fault.per"},
     {"MANET_FAULT_GE_LOSS_GOOD", "fault.geLossGood"},

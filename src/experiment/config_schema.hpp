@@ -121,7 +121,6 @@ void visitFields(Config& c, V& v) {
   MANET_FIELD(mac.rtsThresholdBytes, R::kAny);
   MANET_FIELD(jitterSlots, R::kNonNegative);
   MANET_FIELD(collisions, R::kAny);
-  MANET_FIELD(channelGrid, R::kAny);
   MANET_FIELD(fault.loss, Domain(3, kLossNames));
   MANET_FIELD(fault.per, R::kProbability);
   MANET_FIELD(fault.geLossGood, R::kProbability);

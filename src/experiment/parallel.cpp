@@ -1,6 +1,12 @@
 #include "experiment/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/env.hpp"
@@ -16,65 +22,6 @@ int defaultThreadCount() {
   return hw >= 1 ? static_cast<int>(hw) : 1;
 }
 
-WorkerPool::WorkerPool(int threads) {
-  const int count = std::max(1, threads);
-  workers_.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { workerLoop(); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  workReady_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void WorkerPool::submit(std::function<void()> job) {
-  MANET_EXPECTS(job != nullptr);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    MANET_EXPECTS(!stopping_);
-    queue_.push(std::move(job));
-    ++inFlight_;
-  }
-  workReady_.notify_one();
-}
-
-void WorkerPool::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  allDone_.wait(lock, [this] { return inFlight_ == 0; });
-  if (firstError_) {
-    std::exception_ptr err = firstError_;
-    firstError_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-void WorkerPool::workerLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    workReady_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) return;  // stopping_ and drained
-    std::function<void()> job = std::move(queue_.front());
-    queue_.pop();
-    lock.unlock();
-    try {
-      job();
-    } catch (...) {
-      lock.lock();
-      if (!firstError_) firstError_ = std::current_exception();
-      lock.unlock();
-    }
-    lock.lock();
-    if (--inFlight_ == 0) allDone_.notify_all();
-  }
-}
-
 void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
                  int threads) {
   MANET_EXPECTS(fn != nullptr);
@@ -83,12 +30,30 @@ void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  WorkerPool pool(static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(threads), n)));
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([&fn, i] { fn(i); });
+  std::atomic<std::size_t> next{0};
+  std::mutex errorMutex;
+  std::exception_ptr firstError;
+  const auto work = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(errorMutex);
+        if (!firstError) firstError = std::current_exception();
+      }
+    }
+  };
+  const std::size_t count =
+      std::min<std::size_t>(static_cast<std::size_t>(threads), n);
+  std::vector<std::thread> workers;
+  workers.reserve(count);
+  try {
+    while (workers.size() < count) workers.emplace_back(work);
+  } catch (const std::system_error&) {
+    work();  // the OS refused a thread: this one claims what is left
   }
-  pool.wait();
+  for (std::thread& worker : workers) worker.join();
+  if (firstError) std::rethrow_exception(firstError);
 }
 
 }  // namespace manet::experiment

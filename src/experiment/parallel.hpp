@@ -1,21 +1,16 @@
-// Worker pool for embarrassingly-parallel experiment execution. Each job is
+// Parallel execution of embarrassingly-parallel experiment jobs. Each job is
 // an independent simulation (own World/Scheduler/RNG), so the only shared
-// state is the job queue and the per-index result slots the callers own.
+// state is the next-index counter and the per-index result slots the
+// callers own.
 //
 // Thread count resolution (DESIGN.md §7): an explicit `threads` argument
 // wins; 0 means "auto" = MANET_THREADS from the environment, falling back to
 // std::thread::hardware_concurrency(). One thread (or one job) short-circuits
-// to a plain loop on the calling thread — no pool, no synchronization.
+// to a plain loop on the calling thread — no threads, no synchronization.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace manet::experiment {
 
@@ -23,43 +18,11 @@ namespace manet::experiment {
 /// environment variable if set and >= 1, else hardware concurrency, else 1.
 int defaultThreadCount();
 
-/// Fixed-size pool of std::threads draining a FIFO job queue. Jobs must not
-/// touch shared mutable state (each experiment job owns its whole simulator).
-class WorkerPool {
- public:
-  /// Spawns `threads` workers (clamped to >= 1).
-  explicit WorkerPool(int threads);
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-  /// Blocks until all submitted jobs finished, then joins the workers.
-  ~WorkerPool();
-
-  /// Enqueues a job. May be called from any thread.
-  void submit(std::function<void()> job);
-
-  /// Blocks until every job submitted so far has completed. Rethrows the
-  /// first exception any job raised (further exceptions are dropped).
-  void wait();
-
-  int threadCount() const { return static_cast<int>(workers_.size()); }
-
- private:
-  void workerLoop();
-
-  std::mutex mutex_;
-  std::condition_variable workReady_;
-  std::condition_variable allDone_;
-  std::queue<std::function<void()>> queue_;
-  std::size_t inFlight_ = 0;  // queued + currently executing
-  bool stopping_ = false;
-  std::exception_ptr firstError_;
-  std::vector<std::thread> workers_;
-};
-
-/// Runs fn(0) .. fn(n-1) across `threads` workers (0 = auto). Callers write
-/// results into pre-sized slots indexed by the argument, so completion order
-/// never affects output order. Blocks until all calls finished; rethrows the
-/// first exception.
+/// Runs fn(0) .. fn(n-1) on min(threads, n) std::threads (threads 0 = auto)
+/// that claim indices from a shared counter. Callers write results into
+/// pre-sized slots indexed by the argument, so completion order never
+/// affects output order. Blocks until all calls finished; then rethrows the
+/// first exception any call raised (the other indices still ran).
 void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
                  int threads = 0);
 

@@ -1,8 +1,7 @@
 // Scenario configuration: the knobs of the paper's experimental setup (§4)
 // with the paper's values as defaults. Every field's name and domain is
 // declared once, in config_schema.hpp; World applies the environment knob
-// aliases declared there (MANET_FAULT_*, MANET_TRAFFIC_*,
-// MANET_CHANNEL_GRID) at construction.
+// aliases declared there (MANET_FAULT_*, MANET_TRAFFIC_*) at construction.
 #pragma once
 
 #include <cstdint>
@@ -76,10 +75,6 @@ struct ScenarioConfig {
   mac::MacParams mac{};
   int jitterSlots = 31;     // S2: wait U(0, jitterSlots) slots before MAC
   bool collisions = true;   // ablation hook: false = perfect PHY
-  /// Range queries through the channel's spatial grid (default) or the
-  /// exhaustive scan. Identical results either way — the switch exists for
-  /// differential tests and perf comparisons.
-  bool channelGrid = true;
 
   /// Fault injection (DESIGN.md §8): link loss models and host churn. Off by
   /// default; a disabled config is bit-identical to the fault-free

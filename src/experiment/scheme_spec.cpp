@@ -1,6 +1,12 @@
 #include "experiment/scheme_spec.hpp"
 
+#include <climits>
+#include <optional>
+#include <stdexcept>
+
+#include "experiment/config_schema.hpp"
 #include "util/assert.hpp"
+#include "util/env.hpp"
 
 namespace manet::experiment {
 
@@ -115,6 +121,46 @@ bool SchemeSpec::needsNeighborInfo() const {
 
 bool SchemeSpec::needsTwoHopInfo() const {
   return type == Type::kNeighborCoverage || type == Type::kCluster;
+}
+
+SchemeSpec parseScheme(const std::string& text) {
+  const std::string quoted = "scheme \"" + text + "\"";
+  std::optional<SchemeSpec> scheme;
+  if (text == "flooding") scheme = SchemeSpec::flooding();
+  if (text == "nc") scheme = SchemeSpec::neighborCoverage();
+  if (text == "ac") scheme = SchemeSpec::adaptiveCounter();
+  if (text == "al") scheme = SchemeSpec::adaptiveLocation();
+  if (text == "cluster") scheme = SchemeSpec::clusterBased();
+  const std::size_t eq = text.find('=');
+  if (!scheme && eq != std::string::npos) {
+    const std::string key = text.substr(0, eq);
+    const char* value = text.c_str() + eq + 1;
+    const auto real = [&] { return util::parseDouble(key.c_str(), value); };
+    const auto whole = [&] {
+      return util::parseInt(key.c_str(), value, INT_MIN, INT_MAX);
+    };
+    try {
+      if (key == "p") scheme = SchemeSpec::probabilistic(real());
+      if (key == "c") scheme = SchemeSpec::counter(whole());
+      if (key == "d") scheme = SchemeSpec::distance(real());
+      if (key == "a") scheme = SchemeSpec::location(real());
+      if (key == "cluster") scheme = SchemeSpec::clusterBased(whole());
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(quoted + ": " + e.what());
+    }
+  }
+  if (!scheme) {
+    throw std::invalid_argument(quoted + " is not one of " + kSchemeGrammar);
+  }
+  // The scheme fields' domains, checked in an otherwise default config.
+  ScenarioConfig config;
+  config.scheme = *scheme;
+  try {
+    validate(config);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(quoted + ": " + e.what());
+  }
+  return *scheme;
 }
 
 }  // namespace manet::experiment

@@ -63,4 +63,14 @@ struct SchemeSpec {
   bool needsTwoHopInfo() const;
 };
 
+/// The scheme grammar of MANET_CKPT_SCHEME and scheme_playground --scheme.
+inline constexpr const char* kSchemeGrammar =
+    "flooding|nc|ac|al|cluster|cluster=<n>|p=<prob>|c=<n>|d=<m>|a=<frac>";
+
+/// Parses one spelling of kSchemeGrammar. A number must be the whole text
+/// after '=', and its value must lie in the scheme field's domain
+/// (validate()). Throws std::invalid_argument quoting `text` and naming the
+/// problem; never aborts.
+SchemeSpec parseScheme(const std::string& text);
+
 }  // namespace manet::experiment

@@ -7,7 +7,6 @@
 #include "mobility/random_roam.hpp"
 #include "mobility/waypoint.hpp"
 #include "obs/metrics.hpp"
-#include "stats/connectivity.hpp"
 #include "traffic/generator.hpp"
 #include "util/assert.hpp"
 
@@ -49,7 +48,6 @@ World::World(const ScenarioConfig& config)
       policy_(config_.scheme.build()),
       workloadRng_(sim::Rng(config_.seed).fork(0xF00D)) {
   channel_.setCollisionsEnabled(config_.collisions);
-  channel_.setGridEnabled(config_.channelGrid);
 
   // Fault injection. Dedicated RNG streams (0xFA01 loss, 0xC4 churn) mean
   // enabling faults never shifts the draws of mobility, hosts, or workload.
@@ -136,20 +134,7 @@ void World::startAgents() {
 }
 
 int World::reachableFrom(net::HostId source) const {
-  // Crashed hosts sit at Vec2{} in the snapshot; mask them out of the BFS
-  // whenever any host is actually down (churn config or manual setHostUp).
-  bool anyDown = false;
-  std::vector<bool> alive(hosts_.size());
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    alive[i] = hosts_[i]->up();
-    anyDown |= !alive[i];
-  }
-  if (!anyDown) {
-    return stats::reachableCount(channel_.snapshotPositions(),
-                                 config_.phy.radiusMeters, source.value());
-  }
-  return stats::reachableCount(channel_.snapshotPositions(), alive,
-                               config_.phy.radiusMeters, source.value());
+  return static_cast<int>(channel_.reachableCount(source));
 }
 
 void World::setHostUp(net::HostId id, bool up) {

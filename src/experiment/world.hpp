@@ -94,8 +94,9 @@ class World {
   Host& host(net::HostId id) { return *hosts_[id.value()]; }
   std::size_t hostCount() const { return hosts_.size(); }
 
-  /// e for a broadcast starting now at `source` (unit-disk BFS snapshot).
-  /// Crashed hosts neither count nor relay.
+  /// e for a broadcast starting now at `source`: the channel grid's BFS
+  /// over the unit-disk graph of this instant. Crashed hosts neither count
+  /// nor relay.
   int reachableFrom(net::HostId source) const;
 
   // --- fault injection (DESIGN.md §8) ---

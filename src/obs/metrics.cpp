@@ -24,7 +24,6 @@ const char* name(Counter counter) {
     case Counter::kChannelDropHostDown: return "phy.channel.drop.host_down";
     case Counter::kGridRebuilds: return "phy.grid.rebuilds";
     case Counter::kGridQueries: return "phy.grid.queries";
-    case Counter::kGridFallbackQueries: return "phy.grid.fallback_queries";
     case Counter::kGridBboxFastPath: return "phy.grid.bbox_fast_path";
     case Counter::kGridCellsCovered: return "phy.grid.cells_covered";
     case Counter::kGridCellsScanned: return "phy.grid.cells_scanned";

@@ -41,7 +41,6 @@ enum class Counter : std::size_t {
   kChannelDropHostDown,   // phy.channel.drop.host_down
   kGridRebuilds,         // phy.grid.rebuilds
   kGridQueries,          // phy.grid.queries
-  kGridFallbackQueries,  // phy.grid.fallback_queries
   kGridBboxFastPath,     // phy.grid.bbox_fast_path
   kGridCellsCovered,     // phy.grid.cells_covered
   kGridCellsScanned,     // phy.grid.cells_scanned

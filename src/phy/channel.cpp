@@ -192,148 +192,165 @@ void Channel::ensureGrid() const {
   }
 }
 
-void Channel::collectInRange(geom::Vec2 center, net::HostId exclude,
-                             std::vector<net::HostId>& out) const {
+template <class Visitor>
+int Channel::walkInRange(geom::Vec2 center, Visitor& v) const {
   const double r2 = params_.radiusMeters * params_.radiusMeters;
-  if (!gridEnabled_) {
-    obs::add(obs::Counter::kGridFallbackQueries);
-    for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-      const net::HostId id{i};
-      if (id == exclude || !nodes_[i].attached || !nodes_[i].up) continue;
-      if (geom::distanceSquared(center, nodes_[i].position()) <= r2) {
-        out.push_back(id);
-      }
-    }
-    return;
-  }
-
-  ensureGrid();
   obs::add(obs::Counter::kGridQueries);
   // When the whole population's bounding box lies inside the query disk —
-  // routine on dense single-cell maps — every other node is in range and
-  // the pre-sorted id list can be spliced around `exclude` directly.
-  {
-    const double fx =
-        std::max(center.x - grid_.origin.x, grid_.bboxMax.x - center.x);
-    const double fy =
-        std::max(center.y - grid_.origin.y, grid_.bboxMax.y - center.y);
-    if (fx * fx + fy * fy <= r2) {
-      obs::add(obs::Counter::kGridBboxFastPath);
-      const net::HostId* b = grid_.sortedIds.data();
-      const std::size_t total = grid_.sortedIds.size();
-      const bool excluded = exclude.value() < grid_.rankOf.size() &&
-                            grid_.rankOf[exclude.value()] >= 0;
-      const std::size_t k =
-          excluded ? static_cast<std::size_t>(grid_.rankOf[exclude.value()])
-                   : total;
-      const std::size_t at = out.size();
-      out.resize(at + total - (excluded ? 1 : 0));
-      net::HostId* w = out.data() + at;
-      std::copy(b, b + k, w);
-      std::copy(b + k + (excluded ? 1 : 0), b + total, w + k);
-      return;
-    }
+  // routine on dense single-cell maps — every live node is in range.
+  const double fx =
+      std::max(center.x - grid_.origin.x, grid_.bboxMax.x - center.x);
+  const double fy =
+      std::max(center.y - grid_.origin.y, grid_.bboxMax.y - center.y);
+  if (fx * fx + fy * fy <= r2) {
+    obs::add(obs::Counter::kGridBboxFastPath);
+    v.all();
+    return 1;
   }
   // Cell size >= radius, so a disk centered anywhere inside cell (ccx,ccy)
-  // is contained in the 3x3 neighborhood. Single pass over those cells,
-  // sized to the attached-population upper bound up front. Pointers are
-  // hoisted so stores into `out` can't force reloads through `grid_`. A
-  // cell whose occupant bounding box lies inside the disk is bulk-copied
-  // (splicing out `exclude`); otherwise branchless compaction over the
-  // contiguous coordinate arrays — always store the candidate id, advance
-  // only when it qualifies.
-  const std::size_t before = out.size();
-  out.resize(before + grid_.sortedIds.size());
+  // is contained in the 3x3 neighborhood. A cell whose occupant bounding
+  // box lies inside the disk qualifies whole (an empty cell's box is
+  // inverted, so it never does); otherwise each occupant gets a
+  // branch-free distance test over the contiguous coordinate arrays.
+  // Pointers are hoisted so the visitor's stores can't force reloads
+  // through `grid_`.
   const double* xs = grid_.cellX.data();
   const double* ys = grid_.cellY.data();
-  const net::HostId* ids = grid_.cellNodes.data();
-  net::HostId* dst = out.data() + before;
-  std::size_t kept = 0;
-  int cellsWithCandidates = 0;
-  forEachNeighborCell(center, [&](std::size_t c, int lo, int hi) {
-    cellsWithCandidates += (hi > lo) ? 1 : 0;
-    if (cellFullyCovered(c, center, r2)) {
-      obs::add(obs::Counter::kGridCellsCovered);
-      const net::HostId* b = ids + lo;
-      const net::HostId* e = ids + hi;
+  const int* start = grid_.cellStart.data();
+  const int ccx = std::clamp(
+      static_cast<int>((center.x - grid_.origin.x) / grid_.cellSize), 0,
+      grid_.cols - 1);
+  const int ccy = std::clamp(
+      static_cast<int>((center.y - grid_.origin.y) / grid_.cellSize), 0,
+      grid_.rows - 1);
+  int runs = 0;
+  for (int cy = std::max(0, ccy - 1); cy <= std::min(grid_.rows - 1, ccy + 1);
+       ++cy) {
+    for (int cx = std::max(0, ccx - 1);
+         cx <= std::min(grid_.cols - 1, ccx + 1); ++cx) {
+      const auto c = static_cast<std::size_t>(cy * grid_.cols + cx);
+      const int lo = start[c];
+      const int hi = start[c + 1];
+      runs += (hi > lo) ? 1 : 0;
+      const double cfx = std::max(center.x - grid_.cellMinX[c],
+                                  grid_.cellMaxX[c] - center.x);
+      const double cfy = std::max(center.y - grid_.cellMinY[c],
+                                  grid_.cellMaxY[c] - center.y);
+      if (cfx * cfx + cfy * cfy <= r2) {
+        obs::add(obs::Counter::kGridCellsCovered);
+        v.cell(lo, hi);
+        continue;
+      }
+      if (hi > lo) obs::add(obs::Counter::kGridCellsScanned);
+      for (int i = lo; i < hi; ++i) {
+        const double dx = xs[i] - center.x;
+        const double dy = ys[i] - center.y;
+        v.slot(i, dx * dx + dy * dy <= r2);
+      }
+    }
+  }
+  return runs;
+}
+
+void Channel::collectInRange(geom::Vec2 center, net::HostId exclude,
+                             std::vector<net::HostId>& out) const {
+  ensureGrid();
+  // Sized to the live population up front, then compacted: a whole run is
+  // copied splicing out `exclude`; a scanned slot always stores its id and
+  // advances only when it qualifies.
+  struct Collect {
+    const net::HostId* ids;
+    const net::HostId* sorted;
+    std::size_t live;
+    net::HostId exclude;
+    net::HostId* dst;
+    std::size_t kept = 0;
+
+    void run(const net::HostId* b, const net::HostId* e) {
       const net::HostId* p = std::lower_bound(b, e, exclude);
       net::HostId* w = std::copy(b, p, dst + kept);
       if (p != e && *p == exclude) ++p;
       w = std::copy(p, e, w);
       kept = static_cast<std::size_t>(w - dst);
-      return;
     }
-    if (hi > lo) obs::add(obs::Counter::kGridCellsScanned);
-    for (int i = lo; i < hi; ++i) {
-      const double dx = xs[i] - center.x;
-      const double dy = ys[i] - center.y;
-      const net::HostId id = ids[i];
-      dst[kept] = id;
-      kept += static_cast<std::size_t>((dx * dx + dy * dy <= r2) &
-                                       (id != exclude));
+    void all() { run(sorted, sorted + live); }
+    void cell(int lo, int hi) { run(ids + lo, ids + hi); }
+    void slot(int i, bool inRange) {
+      dst[kept] = ids[i];
+      kept += static_cast<std::size_t>(inRange & (ids[i] != exclude));
     }
-  });
-  out.resize(before + kept);
+  };
+  const std::size_t before = out.size();
+  out.resize(before + grid_.sortedIds.size());
+  Collect v{grid_.cellNodes.data(), grid_.sortedIds.data(),
+            grid_.sortedIds.size(), exclude, out.data() + before};
+  const int runs = walkInRange(center, v);
+  out.resize(before + v.kept);
   // Per-cell lists are ascending but interleave across cells, so sort when
   // more than one cell contributed — on a single-cell map (the densest
   // case) no sort is needed.
-  if (cellsWithCandidates > 1) {
+  if (runs > 1) {
     std::sort(out.begin() + static_cast<std::ptrdiff_t>(before), out.end());
   }
 }
 
 std::size_t Channel::inRangeCount(net::HostId id) const {
-  const double r2 = params_.radiusMeters * params_.radiusMeters;
-  if (!gridEnabled_) {
-    obs::add(obs::Counter::kGridFallbackQueries);
-    const geom::Vec2 center = node(id).position();  // asserts attachment
-    std::size_t count = 0;
-    for (std::uint32_t other = 0; other < nodes_.size(); ++other) {
-      if (net::HostId{other} == id || !nodes_[other].attached ||
-          !nodes_[other].up) {
-        continue;
-      }
-      if (geom::distanceSquared(center, nodes_[other].position()) <= r2) {
-        ++count;
-      }
-    }
-    return count;
-  }
   ensureGrid();
-  obs::add(obs::Counter::kGridQueries);
   MANET_EXPECTS(id.value() < grid_.rankOf.size() &&
                 grid_.rankOf[id.value()] >= 0);
-  const geom::Vec2 center = grid_.positions[id.value()];
-  {
-    const double fx =
-        std::max(center.x - grid_.origin.x, grid_.bboxMax.x - center.x);
-    const double fy =
-        std::max(center.y - grid_.origin.y, grid_.bboxMax.y - center.y);
-    if (fx * fx + fy * fy <= r2) {
-      obs::add(obs::Counter::kGridBboxFastPath);
-      return grid_.sortedIds.size() - 1;
+  // `id` itself is at distance 0 and gets counted, so subtract it after.
+  struct Count {
+    std::size_t live;
+    std::size_t n = 0;
+
+    void all() { n = live; }
+    void cell(int lo, int hi) { n += static_cast<std::size_t>(hi - lo); }
+    void slot(int, bool inRange) { n += inRange ? 1u : 0u; }
+  };
+  Count v{grid_.sortedIds.size()};
+  walkInRange(grid_.positions[id.value()], v);
+  return v.n - 1;
+}
+
+std::size_t Channel::reachableCount(net::HostId source) const {
+  ensureGrid();
+  MANET_EXPECTS(source.value() < grid_.rankOf.size() &&
+                grid_.rankOf[source.value()] >= 0);
+  // Breadth-first: each dequeued node's range walk marks and enqueues the
+  // live nodes not seen yet. A walk whose disk covers the whole population
+  // reaches everyone, and the search stops once every live node is seen.
+  struct Reach {
+    const net::HostId* ids;
+    std::size_t live;
+    std::vector<std::uint8_t>& seen;
+    std::vector<net::HostId>& frontier;
+    std::size_t reached = 1;  // the source
+
+    void visit(net::HostId id) {
+      if (seen[id.value()] != 0) return;
+      seen[id.value()] = 1;
+      frontier.push_back(id);
+      ++reached;
     }
+    void all() { reached = live; }
+    void cell(int lo, int hi) {
+      for (int i = lo; i < hi; ++i) visit(ids[i]);
+    }
+    void slot(int i, bool inRange) {
+      if (inRange) visit(ids[i]);
+    }
+  };
+  grid_.seen.assign(nodes_.size(), 0);
+  grid_.frontier.clear();
+  grid_.seen[source.value()] = 1;
+  grid_.frontier.push_back(source);
+  Reach v{grid_.cellNodes.data(), grid_.sortedIds.size(), grid_.seen,
+          grid_.frontier};
+  for (std::size_t head = 0;
+       head < grid_.frontier.size() && v.reached < v.live; ++head) {
+    walkInRange(grid_.positions[grid_.frontier[head].value()], v);
   }
-  // Fully covered cells contribute their occupancy outright; otherwise a
-  // branch-free scan over the contiguous coordinate arrays. `id` itself is
-  // at distance 0 and gets counted either way, so subtract it afterwards.
-  const double* xs = grid_.cellX.data();
-  const double* ys = grid_.cellY.data();
-  std::size_t count = 0;
-  forEachNeighborCell(center, [&](std::size_t c, int lo, int hi) {
-    if (cellFullyCovered(c, center, r2)) {
-      obs::add(obs::Counter::kGridCellsCovered);
-      count += static_cast<std::size_t>(hi - lo);
-      return;
-    }
-    if (hi > lo) obs::add(obs::Counter::kGridCellsScanned);
-    for (int i = lo; i < hi; ++i) {
-      const double dx = xs[i] - center.x;
-      const double dy = ys[i] - center.y;
-      count += (dx * dx + dy * dy <= r2) ? 1u : 0u;
-    }
-  });
-  return count - 1;
+  return v.reached - 1;
 }
 
 std::vector<net::HostId> Channel::nodesInRange(net::HostId id) const {
@@ -345,32 +362,19 @@ std::vector<net::HostId> Channel::nodesInRange(net::HostId id) const {
 void Channel::nodesInRange(net::HostId id,
                            std::vector<net::HostId>& out) const {
   out.clear();
-  if (gridEnabled_) {
-    ensureGrid();
-    // Attachment check via the grid's dense rank table — same contract as
-    // node(id) without touching the cold Node record.
-    MANET_EXPECTS(id.value() < grid_.rankOf.size() &&
-                  grid_.rankOf[id.value()] >= 0);
-    collectInRange(grid_.positions[id.value()], id, out);
-  } else {
-    collectInRange(node(id).position(), id, out);
-  }
+  ensureGrid();
+  // Attachment check via the grid's dense rank table — same contract as
+  // node(id) without touching the cold Node record.
+  MANET_EXPECTS(id.value() < grid_.rankOf.size() &&
+                grid_.rankOf[id.value()] >= 0);
+  collectInRange(grid_.positions[id.value()], id, out);
 }
 
 std::vector<geom::Vec2> Channel::snapshotPositions() const {
-  // Unattached and churned-down nodes report Vec2{}; callers that mix down
-  // nodes into geometric queries must mask them out (World::reachableFrom).
-  if (gridEnabled_) {
-    ensureGrid();
-    std::vector<geom::Vec2> out = grid_.positions;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (!nodes_[i].attached || !nodes_[i].up) out[i] = geom::Vec2{};
-    }
-    return out;
-  }
-  std::vector<geom::Vec2> out(nodes_.size());
+  ensureGrid();
+  std::vector<geom::Vec2> out = grid_.positions;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].attached && nodes_[i].up) out[i] = nodes_[i].position();
+    if (!nodes_[i].attached || !nodes_[i].up) out[i] = geom::Vec2{};
   }
   return out;
 }

@@ -13,18 +13,17 @@
 //    receiver.
 //
 // The channel is also the position oracle: it owns the position callbacks
-// and exposes range queries used by the world's connectivity snapshots.
+// and answers the world's range queries (neighbors, reachability).
 //
-// Range resolution (DESIGN.md §7): queries go through a uniform spatial grid
-// (cell size = radio radius) rebuilt lazily once per simulation-time epoch,
-// so `transmit`/`nodesInRange` only examine the 3x3 cell neighborhood and
-// pay the position callbacks once per node per epoch instead of once per
-// query. `setGridEnabled(false)` restores the exhaustive O(N) scan; both
-// paths visit candidates in ascending node id, so a run is bit-identical
-// under either.
+// Range resolution (DESIGN.md §7): every "who is within r" question —
+// receivers of a frame, |N_x|, the reachable set behind RE — goes through
+// one uniform spatial grid (cell size = radio radius) rebuilt lazily once
+// per simulation-time epoch, so a query only examines the 3x3 cell
+// neighborhood and the position callbacks are paid once per node per epoch
+// instead of once per query. The unit-disk reference the grid is tested
+// against is stats/connectivity.hpp.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -140,7 +139,14 @@ class Channel {
   /// schemes query on every rebroadcast decision.
   std::size_t inRangeCount(net::HostId id) const;
 
-  /// Positions of all attached nodes, indexed by node id.
+  /// Number of live nodes reachable from `source` over hops of at most
+  /// `radiusMeters` (excl. itself): the RE denominator e. Churned-down nodes
+  /// neither count nor relay. Breadth-first over the grid; allocates nothing
+  /// once its scratch has grown to the population. Requires `source` up.
+  std::size_t reachableCount(net::HostId source) const;
+
+  /// Positions of all attached nodes, indexed by node id (Vec2{} for
+  /// churned-down nodes).
   std::vector<geom::Vec2> snapshotPositions() const;
 
   std::size_t nodeCount() const { return nodes_.size(); }
@@ -162,12 +168,6 @@ class Channel {
   /// Test/ablation hook: when disabled, overlapping frames are all delivered
   /// intact (perfect-PHY model used by bench/abl_collision_model).
   void setCollisionsEnabled(bool enabled) { collisionsEnabled_ = enabled; }
-
-  /// Differential-testing hook: when disabled, range queries fall back to the
-  /// exhaustive all-nodes scan instead of the spatial grid. Either setting
-  /// yields identical simulations (same candidates, same order).
-  void setGridEnabled(bool enabled) { gridEnabled_ = enabled; }
-  bool gridEnabled() const { return gridEnabled_; }
 
  private:
   friend struct manet::ckpt::StateAccess;
@@ -228,6 +228,8 @@ class Channel {
     std::vector<double> cellX;          // parallel to cellNodes
     std::vector<double> cellY;
     std::vector<int> cellFill;          // rebuild scratch: next CSR slot
+    std::vector<std::uint8_t> seen;     // reachableCount scratch, per node id
+    std::vector<net::HostId> frontier;  // reachableCount scratch: BFS queue
     // Tight bounding box of each cell's occupants (+inf/-inf when empty).
     // When the whole box lies inside a query disk every occupant is in
     // range and the per-node distance scan can be skipped.
@@ -258,39 +260,19 @@ class Channel {
   /// Rebuilds the grid if it is stale for the current epoch (time advanced
   /// or a node attached since the last build).
   void ensureGrid() const;
-  /// Invokes fn(c, lo, hi) with the index and CSR occupant range of every
-  /// cell in the 3x3 neighborhood of the cell containing `center`. Requires
-  /// a current grid (call ensureGrid() first).
-  template <typename Fn>
-  void forEachNeighborCell(geom::Vec2 center, Fn&& fn) const {
-    const int ccx = std::clamp(
-        static_cast<int>((center.x - grid_.origin.x) / grid_.cellSize), 0,
-        grid_.cols - 1);
-    const int ccy = std::clamp(
-        static_cast<int>((center.y - grid_.origin.y) / grid_.cellSize), 0,
-        grid_.rows - 1);
-    for (int cy = std::max(0, ccy - 1);
-         cy <= std::min(grid_.rows - 1, ccy + 1); ++cy) {
-      for (int cx = std::max(0, ccx - 1);
-           cx <= std::min(grid_.cols - 1, ccx + 1); ++cx) {
-        const auto c = static_cast<std::size_t>(cy * grid_.cols + cx);
-        fn(c, grid_.cellStart[c], grid_.cellStart[c + 1]);
-      }
-    }
-  }
-  /// True when every occupant of cell `c` is within `radiusMeters` of
-  /// `center` (the cell's occupant bounding box lies inside the disk), so
-  /// the whole cell qualifies without per-node distance checks.
-  bool cellFullyCovered(std::size_t c, geom::Vec2 center, double r2) const {
-    const double fx = std::max(center.x - grid_.cellMinX[c],
-                               grid_.cellMaxX[c] - center.x);
-    const double fy = std::max(center.y - grid_.cellMinY[c],
-                               grid_.cellMaxY[c] - center.y);
-    return fx * fx + fy * fy <= r2;
-  }
-  /// Appends all attached ids within `radiusMeters` of `center` (except
-  /// `exclude`) to `out`, ascending. Uses the grid when enabled and current,
-  /// the exhaustive scan otherwise.
+  /// The one grid walk behind every range query. Requires a current grid
+  /// (call ensureGrid() first). Hands `v` the live nodes within
+  /// `radiusMeters` of `center` as CSR ranges and slots (indices into
+  /// cellNodes/cellX/cellY): `v.all()` alone when the disk covers the whole
+  /// population's bounding box; otherwise, for each cell of the 3x3
+  /// neighborhood, `v.cell(lo, hi)` when the cell's occupant box lies inside
+  /// the disk, else `v.slot(i, inRange)` for each occupant. Returns the
+  /// number of ascending id runs handed out (1 on the `all` path, else the
+  /// non-empty cells visited).
+  template <class Visitor>
+  int walkInRange(geom::Vec2 center, Visitor& v) const;
+  /// Appends all live ids within `radiusMeters` of `center` (except
+  /// `exclude`) to `out`, ascending.
   void collectInRange(geom::Vec2 center, net::HostId exclude,
                       std::vector<net::HostId>& out) const;
 
@@ -298,7 +280,6 @@ class Channel {
   PhyParams params_;
   std::vector<Node> nodes_;
   bool collisionsEnabled_ = true;
-  bool gridEnabled_ = true;
   LossFn lossFn_;
   std::uint64_t attachVersion_ = 0;
   mutable Grid grid_;

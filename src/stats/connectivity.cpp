@@ -9,12 +9,9 @@ namespace manet::stats {
 namespace {
 
 std::vector<std::size_t> bfs(const std::vector<geom::Vec2>& positions,
-                             const std::vector<bool>* alive, double radius,
-                             std::size_t source) {
+                             double radius, std::size_t source) {
   MANET_EXPECTS(source < positions.size());
   MANET_EXPECTS(radius > 0.0);
-  MANET_EXPECTS(!alive ||
-                (alive->size() == positions.size() && (*alive)[source]));
   const double r2 = radius * radius;
   std::vector<bool> visited(positions.size(), false);
   std::vector<std::size_t> reached;
@@ -26,7 +23,6 @@ std::vector<std::size_t> bfs(const std::vector<geom::Vec2>& positions,
     frontier.pop();
     for (std::size_t v = 0; v < positions.size(); ++v) {
       if (visited[v]) continue;
-      if (alive && !(*alive)[v]) continue;
       if (geom::distanceSquared(positions[u], positions[v]) <= r2) {
         visited[v] = true;
         reached.push_back(v);
@@ -37,22 +33,11 @@ std::vector<std::size_t> bfs(const std::vector<geom::Vec2>& positions,
   return reached;  // ascending discovery order; excludes source
 }
 
-std::vector<std::size_t> bfs(const std::vector<geom::Vec2>& positions,
-                             double radius, std::size_t source) {
-  return bfs(positions, nullptr, radius, source);
-}
-
 }  // namespace
 
 int reachableCount(const std::vector<geom::Vec2>& positions, double radius,
                    std::size_t source) {
   return static_cast<int>(bfs(positions, radius, source).size());
-}
-
-int reachableCount(const std::vector<geom::Vec2>& positions,
-                   const std::vector<bool>& alive, double radius,
-                   std::size_t source) {
-  return static_cast<int>(bfs(positions, &alive, radius, source).size());
 }
 
 std::vector<std::size_t> reachableSet(const std::vector<geom::Vec2>& positions,

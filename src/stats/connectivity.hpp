@@ -12,16 +12,9 @@
 namespace manet::stats {
 
 /// Number of hosts reachable from `source` over links of length <= radius,
-/// NOT counting the source itself. O(V^2) BFS — fine at the paper's n = 100.
+/// NOT counting the source itself. O(V^2) BFS: the brute-force reference
+/// for phy::Channel::reachableCount, which the simulator itself uses.
 int reachableCount(const std::vector<geom::Vec2>& positions, double radius,
-                   std::size_t source);
-
-/// As above, but hosts whose `alive` flag is false neither relay nor count
-/// toward the result (host churn: crashed hosts are unreachable and cannot
-/// bridge partitions). `alive` must match `positions` in size and
-/// `alive[source]` must be true.
-int reachableCount(const std::vector<geom::Vec2>& positions,
-                   const std::vector<bool>& alive, double radius,
                    std::size_t source);
 
 /// Ids of the hosts reachable from `source` (excluding it), ascending.

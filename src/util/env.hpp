@@ -1,5 +1,6 @@
 // Helpers for reading scaling knobs from the environment so benchmarks can be
-// run quickly by default and at paper scale on demand.
+// run quickly by default and at paper scale on demand, and the strict number
+// parsers behind them, which command-line flags share.
 #pragma once
 
 #include <cstdint>
@@ -7,6 +8,19 @@
 #include <string>
 
 namespace manet::util {
+
+/// Parses `text` as a whole base-10 integer. Throws std::invalid_argument
+/// naming `name` and the text when it is not one (trailing characters
+/// included) or is out of range.
+std::int64_t parseInt(const char* name, const char* text);
+
+/// parseInt narrowed to [lo, hi]: a value outside is rejected by name
+/// instead of wrapping.
+int parseInt(const char* name, const char* text, int lo, int hi);
+
+/// Parses `text` as a whole finite number. Throws std::invalid_argument
+/// naming `name` and the text otherwise.
+double parseDouble(const char* name, const char* text);
 
 /// Returns the integer value of environment variable `name`, or `fallback`
 /// when unset or empty. Throws std::invalid_argument naming the variable

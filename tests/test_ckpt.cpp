@@ -300,7 +300,6 @@ ScenarioConfig offDefaultConfig() {
   c.mac.rtsThresholdBytes = 256;
   c.jitterSlots = 15;
   c.collisions = false;
-  c.channelGrid = false;
   c.fault.loss = fault::FaultConfig::Loss::kGilbertElliott;
   c.fault.per = 0.05;
   c.fault.geLossGood = 0.01;
@@ -318,12 +317,13 @@ ScenarioConfig offDefaultConfig() {
 }
 
 TEST(CkptConfig, GoldenEncodingPinsFieldOrderAndLayout) {
-  // Recorded from the hand-written encoder the declared field list
-  // replaced: the same config must keep producing the same CFG0 bytes.
+  // Recorded from the format-3 layout (format 2 carried one more bool, the
+  // retired channel-grid switch, after `collisions`): the same config must
+  // keep producing the same CFG0 bytes.
   const ScenarioConfig c = offDefaultConfig();
   const std::vector<std::uint8_t> blob = encodeConfig(c);
-  EXPECT_EQ(blob.size(), 716u);
-  EXPECT_EQ(fnv1a(blob.data(), blob.size()), 0x3084e5cbd51bc97dull);
+  EXPECT_EQ(blob.size(), 715u);
+  EXPECT_EQ(fnv1a(blob.data(), blob.size()), 0x6e0ed4be9cd76953ull);
   EXPECT_EQ(encodeConfig(decodeConfig(blob)), blob);
 }
 
@@ -587,13 +587,21 @@ TEST(Ckpt, ResumeRejectsVersionMismatch) {
   World prefix(smallConfig());
   prefix.beginRun();
   prefix.continueUntil(midpointOf(prefix));
-  auto blob = capture(prefix);
-  blob[kMagicLen] += 1;  // pretend a future format version
-  try {
-    resume(blob);
-    FAIL() << "future-version blob accepted";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  const auto blob = capture(prefix);
+  // A future format, and format 2, whose CFG0 held one more field: both
+  // are refused by their version before any section is decoded.
+  for (const std::uint8_t version : {kFormatVersion + 1, 2u}) {
+    auto other = blob;
+    other[kMagicLen] = version;  // low byte of the little-endian u32
+    try {
+      resume(other);
+      FAIL() << "format " << int{version} << " blob accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,9 +1,10 @@
-// Determinism and pool-machinery tests for the parallel experiment runner:
+// Determinism and thread-machinery tests for the parallel experiment runner:
 // a sweep must produce byte-identical output for any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,35 +15,6 @@
 
 namespace manet::experiment {
 namespace {
-
-TEST(WorkerPool, RunsEveryJobExactlyOnce) {
-  std::atomic<int> counter{0};
-  {
-    WorkerPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&counter] { ++counter; });
-    }
-    pool.wait();
-    EXPECT_EQ(counter.load(), 100);
-  }
-}
-
-TEST(WorkerPool, DestructorDrainsOutstandingJobs) {
-  std::atomic<int> counter{0};
-  {
-    WorkerPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { ++counter; });
-    }
-  }  // no wait(): the destructor must still finish everything
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(WorkerPool, WaitRethrowsJobException) {
-  WorkerPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-}
 
 TEST(ParallelFor, CoversAllIndicesAcrossThreadCounts) {
   for (const int threads : {1, 2, 4}) {
@@ -57,6 +29,24 @@ TEST(ParallelFor, CoversAllIndicesAcrossThreadCounts) {
 
 TEST(ParallelFor, ZeroJobsIsANoop) {
   parallelFor(0, [](std::size_t) { FAIL(); }, 4);
+}
+
+TEST(ParallelFor, RethrowsJobException) {
+  for (const int threads : {1, 2, 4}) {
+    std::atomic<int> ran{0};
+    const auto job = [&ran](std::size_t i) {
+      ++ran;
+      if (i % 10 == 3) throw std::runtime_error("boom");
+    };
+    if (threads == 1) {
+      // Inline: the first throw ends the loop on the calling thread.
+      EXPECT_THROW(parallelFor(40, job, threads), std::runtime_error);
+      EXPECT_EQ(ran.load(), 4);
+      continue;
+    }
+    EXPECT_THROW(parallelFor(40, job, threads), std::runtime_error);
+    EXPECT_EQ(ran.load(), 40) << "threads " << threads;
+  }
 }
 
 ScenarioConfig tinyBase() {

@@ -161,20 +161,9 @@ TEST(World, RejectsBadKnobsByName) {
   ::setenv("MANET_TRAFFIC_RATE", "0", 1);
   expectWorldRejects(c, "MANET_TRAFFIC_RATE");
   ::unsetenv("MANET_TRAFFIC_RATE");
-  ::setenv("MANET_CHANNEL_GRID", "2", 1);
-  expectWorldRejects(c, "MANET_CHANNEL_GRID");
-  ::unsetenv("MANET_CHANNEL_GRID");
-}
-
-TEST(World, ChannelGridKnobSetsTheRecordedField) {
-  ScenarioConfig c;
-  c.numBroadcasts = 0;
-  ::setenv("MANET_CHANNEL_GRID", "0", 1);
-  const World off(c);
-  ::unsetenv("MANET_CHANNEL_GRID");
-  EXPECT_FALSE(off.config().channelGrid);
-  const World on(c);
-  EXPECT_TRUE(on.config().channelGrid);
+  ::setenv("MANET_FAULT_CHURN", "2", 1);
+  expectWorldRejects(c, "MANET_FAULT_CHURN");
+  ::unsetenv("MANET_FAULT_CHURN");
 }
 
 // ------------------------------------------------------------ field list
@@ -202,7 +191,6 @@ TEST(ConfigSchema, EveryKnobSetsItsField) {
   using Arrival = traffic::TrafficConfig::Arrival;
   using Sources = traffic::TrafficConfig::Sources;
   const Case cases[] = {
-      {"MANET_CHANNEL_GRID", "0", [](auto& c) { return !c.channelGrid; }},
       {"MANET_FAULT_LOSS", "ge",
        [](auto& c) { return c.fault.loss == Loss::kGilbertElliott; }},
       {"MANET_FAULT_PER", "0.25", [](auto& c) { return c.fault.per == 0.25; }},
@@ -263,6 +251,69 @@ TEST(World, SchemeNamesForTables) {
   SchemeSpec custom = SchemeSpec::flooding();
   custom.label = "my-label";
   EXPECT_EQ(custom.name(), "my-label");
+}
+
+// ------------------------------------------------------------ scheme grammar
+
+TEST(SchemeGrammar, ParsesEverySpelling) {
+  const struct {
+    const char* text;
+    SchemeSpec want;
+  } cases[] = {
+      {"flooding", SchemeSpec::flooding()},
+      {"nc", SchemeSpec::neighborCoverage()},
+      {"ac", SchemeSpec::adaptiveCounter()},
+      {"al", SchemeSpec::adaptiveLocation()},
+      {"cluster", SchemeSpec::clusterBased()},
+      {"cluster=4", SchemeSpec::clusterBased(4)},
+      {"p=0.5", SchemeSpec::probabilistic(0.5)},
+      {"c=3", SchemeSpec::counter(3)},
+      {"d=125.5", SchemeSpec::distance(125.5)},
+      {"a=0.0134", SchemeSpec::location(0.0134)},
+  };
+  for (const auto& c : cases) {
+    const SchemeSpec got = parseScheme(c.text);
+    EXPECT_EQ(got.type, c.want.type) << c.text;
+    EXPECT_EQ(got.name(), c.want.name()) << c.text;
+  }
+  EXPECT_EQ(parseScheme("cluster=4").clusterInnerCounter, 4);
+  EXPECT_EQ(parseScheme("d=125.5").distanceD, 125.5);
+}
+
+TEST(SchemeGrammar, RejectsBadTextByName) {
+  // Each bad text and what the message must name: the grammar, the
+  // malformed number, or the scheme field whose domain the value leaves.
+  const struct {
+    const char* text;
+    const char* names;
+  } cases[] = {
+      {"", "is not one of"},
+      {"bogus", "is not one of"},
+      {"prob=0.5", "is not one of"},
+      {"flooding=1", "is not one of"},
+      {"p=abc", "is not a number"},
+      {"p=", "is not a number"},
+      {"p=0.5.1", "is not a number"},
+      {"c=3x", "is not an integer"},
+      {"c=99999999999", "is outside"},
+      {"c=0", "scheme.counterC"},
+      {"p=7", "scheme.probability"},
+      {"d=-5", "scheme.distanceD"},
+      {"a=1.5", "scheme.areaA"},
+      {"cluster=1", "scheme.clusterInnerCounter"},
+  };
+  for (const auto& c : cases) {
+    try {
+      parseScheme(c.text);
+      ADD_FAILURE() << '"' << c.text << "\" was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("\"") + c.text + '"'),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(c.names), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(World, TraceSinkDefaultsToNull) {

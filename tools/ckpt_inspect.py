@@ -17,7 +17,7 @@ import struct
 import sys
 
 MAGIC = b"MCKPT1\n"
-FORMAT_VERSION = 2  # src/ckpt/io.hpp kFormatVersion
+FORMAT_VERSION = 3  # src/ckpt/io.hpp kFormatVersion
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211

@@ -26,14 +26,8 @@ guards the three regression channels that would quietly reopen the holes:
       site must stay inside the algebra; a raw read is where unit bugs
       re-enter.
 
-Engines: when the libclang python bindings and a compile_commands.json are
-available the checks run on the clang AST (exact parameter types, exact
-cast targets, member-call resolution). The CI container and the dev image
-ship only libclang-cpp (no python bindings), so the default engine is a
-pure-python lexical pass over the same rules: it strips comments/strings
-and matches declaration-context patterns. The lexical engine is the one the
-blocking gate runs; the AST engine is a strictly-more-precise drop-in that
-activates automatically where bindings exist (`--engine ast` to force).
+The checks are a pure-python lexical pass: it strips comments/strings and
+matches declaration-context patterns, so it runs wherever python does.
 
 Escape hatch (same grammar as lint_determinism): a genuine boundary site
 carries, on the same or the preceding line:
@@ -42,7 +36,7 @@ carries, on the same or the preceding line:
 
 A bare NOLINT-units without a reason is itself an error.
 
-Usage: manet_lint.py [--root DIR] [--engine auto|ast|lexical] [PATHS...]
+Usage: manet_lint.py [--root DIR] [PATHS...]
        manet_lint.py --self-test   (prove every rule fires on violating TUs)
 Exit status: 0 clean, 1 findings, 2 usage error.
 """
@@ -178,73 +172,6 @@ def lint_file_lexical(path: Path, rel: str) -> list[tuple[int, str]]:
     return findings
 
 
-# ------------------------------------------------------------------ AST
-
-
-def lint_file_ast(path: Path, rel: str, index, compdb) -> list[tuple[int, str]]:
-    """libclang engine: same rules, resolved on the AST."""
-    from clang import cindex
-
-    args = ["-std=c++20", "-Isrc"]
-    if compdb is not None:
-        cmds = compdb.getCompileCommands(str(path))
-        if cmds:
-            got = [a for a in list(cmds[0].arguments)[1:-1] if a != "-c"]
-            if got:
-                args = got
-    tu = index.parse(str(path), args=args)
-    lines = path.read_text(encoding="utf-8", errors="replace").split("\n")
-    findings: list[tuple[int, str]] = []
-
-    def in_this_file(cursor) -> bool:
-        loc = cursor.location
-        return loc.file is not None and Path(loc.file.name).resolve() == path.resolve()
-
-    def report(cursor, msg: str) -> None:
-        idx = cursor.location.line - 1
-        if not suppressed(lines, idx, findings):
-            findings.append((cursor.location.line, msg))
-
-    integral_kinds = {
-        k for k in dir(cindex.TypeKind) if k.startswith(("INT", "UINT", "LONG",
-                                                         "ULONG", "SHORT",
-                                                         "USHORT", "CHAR"))
-    }
-
-    def walk(cursor) -> None:
-        for c in cursor.get_children():
-            if not in_this_file(c):
-                continue
-            k = c.kind
-            if k == cindex.CursorKind.PARM_DECL:
-                name = c.spelling or ""
-                if re.search(r"_(us|time|id)$", name):
-                    canon = c.type.get_canonical()
-                    if canon.kind.name in integral_kinds:
-                        report(c, f"U1 raw integral parameter '{name}'")
-            elif k == cindex.CursorKind.CXX_STATIC_CAST_EXPR:
-                target = c.type.spelling
-                if any(t in target for t in TAG_TYPES):
-                    report(c, "U2 static_cast into a strong type family")
-            elif k == cindex.CursorKind.CXX_METHOD or k == cindex.CursorKind.CALL_EXPR:
-                if c.spelling == "ticks" and not ticks_allowed(rel):
-                    report(c, "U3 raw .ticks() read outside sanctioned homes")
-            walk(c)
-
-    walk(tu.cursor)
-    return findings
-
-
-def ast_engine_available() -> bool:
-    try:
-        from clang import cindex  # noqa: F401
-
-        cindex.Index.create()
-        return True
-    except Exception:
-        return False
-
-
 # ------------------------------------------------------------ self-test
 
 # One violating TU per rule; each MUST produce exactly the named finding,
@@ -324,12 +251,6 @@ def self_test() -> int:
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--root", default=None, help="repo root (default: auto)")
-    ap.add_argument(
-        "--engine",
-        choices=("auto", "ast", "lexical"),
-        default="auto",
-        help="analysis engine (auto: AST when libclang bindings exist)",
-    )
     ap.add_argument("--self-test", action="store_true",
                     help="run the rule-firing proof and exit")
     ap.add_argument("paths", nargs="*", help="files/dirs to lint")
@@ -351,43 +272,21 @@ def main(argv: list[str]) -> int:
             print(f"manet_lint: no such path: {t}", file=sys.stderr)
             return 2
 
-    engine = args.engine
-    if engine == "auto":
-        engine = "ast" if ast_engine_available() else "lexical"
-    if engine == "ast" and not ast_engine_available():
-        print("manet_lint: libclang python bindings unavailable", file=sys.stderr)
-        return 2
-
-    index = compdb = None
-    if engine == "ast":
-        from clang import cindex
-
-        index = cindex.Index.create()
-        try:
-            compdb = cindex.CompilationDatabase.fromDirectory(
-                str(root / "build")
-            )
-        except cindex.CompilationDatabaseError:
-            compdb = None
-
     total = 0
     for f in files:
         try:
             rel = f.resolve().relative_to(root.resolve()).as_posix()
         except ValueError:
             rel = f.as_posix()
-        if engine == "ast" and f.suffix == ".cpp":
-            findings = lint_file_ast(f, rel, index, compdb)
-        else:
-            findings = lint_file_lexical(f, rel)
+        findings = lint_file_lexical(f, rel)
         for line, msg in findings:
             emit(rel, line, msg)
             total += 1
 
     if total:
-        print(f"manet_lint[{engine}]: {total} finding(s) in {len(files)} files")
+        print(f"manet_lint: {total} finding(s) in {len(files)} files")
         return 1
-    print(f"manet_lint[{engine}]: OK ({len(files)} files clean)")
+    print(f"manet_lint: OK ({len(files)} files clean)")
     return 0
 
 

@@ -77,6 +77,14 @@ class InspectTest(unittest.TestCase):
         self.assertGreater(problems, 0)
         self.assertIn("UNSUPPORTED", out)
 
+    def test_format_two_blob_is_refused_by_version(self) -> None:
+        # Format 3 dropped one CFG0 field; a format-2 blob must be reported
+        # by its version, not decoded against the new layout.
+        self.assertEqual(ckpt_inspect.FORMAT_VERSION, 3)
+        problems, out = self.inspect(container(good_sections(), version=2))
+        self.assertGreater(problems, 0)
+        self.assertIn("version 2 UNSUPPORTED", out)
+
     def test_payload_bit_flip_fails(self) -> None:
         blob = container(good_sections())
         blob[-9] ^= 0x01  # last DGST payload byte; its digest trails it
